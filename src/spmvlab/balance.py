@@ -5,6 +5,7 @@ counts evenly (what a naive parallel-for gives you), ``greedy_partition``
 cuts by cumulative nonzero targets, and ``diffuse`` refines any partition
 with local one-row boundary moves. All are pure functions of their
 inputs, so a partition can be computed once and cached with its matrix.
+``scheme_partition`` maps a scheme name to one of them.
 """
 
 from __future__ import annotations
@@ -19,8 +20,11 @@ __all__ = [
     "equal_rows_partition",
     "greedy_partition",
     "diffuse",
+    "scheme_partition",
     "balance_stats",
 ]
+
+PARTITION_SCHEMES = ("equal-rows", "greedy", "greedy+diffuse")
 
 
 @dataclass(frozen=True)
@@ -159,6 +163,18 @@ def diffuse(partition: ThreadPartition, row_nnz, max_sweeps: int | None = None) 
         if not moved:
             break
     return ThreadPartition(tuple(bounds))
+
+
+def scheme_partition(scheme: str, row_nnz, workers: int) -> ThreadPartition:
+    """Partition a block's rows, given their nonzero counts, under a scheme
+    named in ``PARTITION_SCHEMES``."""
+    if scheme == "equal-rows":
+        return equal_rows_partition(len(row_nnz), workers)
+    if scheme == "greedy":
+        return greedy_partition(row_nnz, workers)
+    if scheme == "greedy+diffuse":
+        return diffuse(greedy_partition(row_nnz, workers), row_nnz)
+    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def balance_stats(partition: ThreadPartition, row_nnz) -> BalanceStats:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balance import balance_stats, diffuse, equal_rows_partition, greedy_partition
+from .balance import PARTITION_SCHEMES, balance_stats, scheme_partition
 from .engine import ExecConfig, create_context
 from .fabric import Fabric
 from .krylov import CgBreakdownError, SingularPreconditionerError, cg_solve
@@ -48,8 +48,6 @@ __all__ = [
 CSV_HEADER = ("matrix", "model", "nranks", "threads", "reps", "median_s",
               "flops", "gflops", "efficiency", "iterations", "converged",
               "error")
-
-PARTITION_SCHEMES = ("equal-rows", "greedy", "greedy+diffuse")
 
 
 class OracleMismatchError(RuntimeError):
@@ -220,7 +218,8 @@ def find_baseline(records, matrix_id: str) -> BenchRecord | None:
 def append_record(path, record: BenchRecord) -> None:
     """Append one CSV row, writing the header if the file is new/empty."""
     try:
-        need_header = not open(path, "r").read(1)
+        with open(path, "r") as f:
+            need_header = not f.read(1)
     except FileNotFoundError:
         need_header = True
     with open(path, "a", newline="") as f:
@@ -245,14 +244,7 @@ def partition_stats(A: CsrMatrix, workers: int, nranks: int = 1,
         for block_name, block in (("diag", lay.diag_block), ("off", lay.off_block)):
             nnz = block.row_nnz()
             for scheme in schemes:
-                if scheme == "equal-rows":
-                    part = equal_rows_partition(block.nrows, workers)
-                elif scheme == "greedy":
-                    part = greedy_partition(nnz, workers)
-                elif scheme == "greedy+diffuse":
-                    part = diffuse(greedy_partition(nnz, workers), nnz)
-                else:
-                    raise ValueError(f"unknown scheme {scheme!r}")
+                part = scheme_partition(scheme, nnz, workers)
                 rows.append({"rank": lay.rank, "block": block_name,
                              "scheme": scheme, "workers": workers,
                              "stats": balance_stats(part, nnz)})

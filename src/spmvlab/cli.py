@@ -11,6 +11,7 @@ import argparse
 import sys
 import time
 
+from .balance import PARTITION_SCHEMES
 from .bench import (OracleMismatchError, append_record, find_baseline,
                     format_partition_stats, load_records, partition_stats,
                     run_cg_benchmark, run_spmv_benchmark, with_efficiency)
@@ -164,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ranks", type=int, default=1, metavar="N",
                    help="rank count whose blocks to inspect (default: 1)")
     p.add_argument("--scheme", action="append",
-                   choices=("equal-rows", "greedy", "greedy+diffuse"),
+                   choices=PARTITION_SCHEMES,
                    help="restrict to one or more schemes (default: all)")
     p.set_defaults(func=_cmd_partition_stats)
     return parser

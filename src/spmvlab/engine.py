@@ -14,10 +14,16 @@ transfer latency behind the diagonal phase. ``task-balanced`` is
 ``task`` with per-block thread partitions balanced by nonzero count
 (greedy cuts plus local diffusion) instead of equal rows.
 
+Both threaded models run one per-thread schedule and differ only in when
+thread 0 waits for the ghost values: at once under ``task``, where it
+computes nothing, and after its share of the diagonal phase, between two
+rank barriers, under ``vector``.
+
 Every model produces output bit-identical to ``spmv_serial`` because row
-sums are exactly rounded (see ``exact``): each row is finalized by
-exactly one thread of exactly one rank, and the diagonal/off-diagonal
-grouping cannot change a correctly rounded result.
+sums are exactly rounded by the two phase kernels in ``exact``, which
+``layout.two_phase_multiply`` runs too: each row is finalized by exactly
+one thread of exactly one rank, and the diagonal/off-diagonal grouping
+cannot change a correctly rounded result.
 
 Within one rank's team, compute kernels run in worker order, handed off
 through a baton: the interpreter lock serializes Python-level compute
@@ -29,7 +35,7 @@ a multiply the interpreter switch interval is narrowed so a woken waiter
 does not stall behind a compute thread's full default time slice.
 
 Thread partitions are computed once at context creation and cached with
-the context, keyed by block, worker count, and balancing scheme; repeat
+the context, keyed by rank and block (``"diag"`` or ``"off"``); repeat
 multiplies reuse them. Thread placement is left to the host scheduler
 (no pinning, no memory-domain control at desk scale).
 """
@@ -39,13 +45,13 @@ from __future__ import annotations
 import sys
 import threading
 from dataclasses import dataclass, field
-from math import fsum, nan
+from math import nan
 from time import perf_counter
 
 import numpy as np
 
-from . import exact
-from .balance import diffuse, equal_rows_partition, greedy_partition
+from .balance import scheme_partition
+from .exact import finish_rows, start_rows
 from .fabric import Fabric, create_fabric
 from .layout import build_all_layouts, build_scatter_plan, decompose_rows
 from .sparse import CsrMatrix, spmv_serial
@@ -124,7 +130,11 @@ class RankPhaseTimings:
 
 
 class _Baton:
-    """Hands a phase through a rank's compute threads in worker order."""
+    """Hands compute turns through a rank's workers in order.
+
+    With ``W`` workers, worker ``w`` takes turn ``w`` in the diagonal
+    phase and turn ``W + w`` in the off-diagonal phase.
+    """
 
     def __init__(self):
         self._cond = threading.Condition()
@@ -222,19 +232,12 @@ class MultContext:
         if not distributed:
             return
 
-        W = cfg.worker_count
-        balanced = cfg.model == "task-balanced"
-        scheme = "balanced" if balanced else "equal-rows"
+        scheme = "greedy+diffuse" if cfg.model == "task-balanced" else "equal-rows"
         for lay in self.layouts:
             for block_name, block in (("diag", lay.diag_block), ("off", lay.off_block)):
-                if balanced:
-                    nnz = block.row_nnz()
-                    part = diffuse(greedy_partition(nnz, W), nnz)
-                else:
-                    part = equal_rows_partition(block.nrows, W)
+                self.partitions[(lay.rank, block_name)] = scheme_partition(
+                    scheme, block.row_nnz(), cfg.worker_count)
                 self.partition_builds += 1
-                self.partitions[(lay.rank, block_name, W, scheme)] = part
-        self._part_key = (W, scheme)
 
         self._send_pos = []
         for lay in self.layouts:
@@ -244,7 +247,7 @@ class MultContext:
         self._ghost = [np.empty(len(lay.ghost_cols)) for lay in self.layouts]
         self._partials = [[None] * lay.own.nrows for lay in self.layouts]
         self._tm = [_RankScratch(cfg.threads_per_rank) for _ in range(cfg.nranks)]
-        self._batons = [(_Baton(), _Baton()) for _ in range(cfg.nranks)]
+        self._batons = [_Baton() for _ in range(cfg.nranks)]
 
         self._x = None
         self._y = None
@@ -317,6 +320,10 @@ class MultContext:
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (A.ncols,):
             raise ValueError(f"vector length {x.shape} does not match ncols={A.ncols}")
+        # An infinite product turns the expansion's error terms into NaN,
+        # so the threaded kernels cannot round such a row like the oracle.
+        if not np.all(np.isfinite(x)):
+            raise ValueError("input vector contains non-finite entries")
         if self.cfg.model == "serial":
             w0 = perf_counter()
             y = spmv_serial(A, x)
@@ -339,9 +346,8 @@ class MultContext:
             self._y = np.empty(A.nrows)
             for tm in self._tm:
                 tm.reset()
-            for diag_baton, off_baton in self._batons:
-                diag_baton.reset()
-                off_baton.reset()
+            for baton in self._batons:
+                baton.reset()
             if self._record_ownership:
                 self.ownership = {"diag": [], "off": []}
             try:
@@ -379,7 +385,6 @@ class MultContext:
     # -- worker side --------------------------------------------------------
 
     def _worker_loop(self, r, t):
-        run = self._run_vector if self.cfg.model == "vector" else self._run_task
         while True:
             try:
                 self._start.wait()
@@ -388,7 +393,7 @@ class MultContext:
             if self._stop:
                 return
             try:
-                run(r, t)
+                self._run(r, t)
             except BaseException as e:  # surface worker failures to the caller
                 self._errors.append(e)
                 self._panic()
@@ -404,87 +409,58 @@ class MultContext:
         self._done.abort()
         for b in self._rank_barriers:
             b.abort()
-        for diag_baton, off_baton in self._batons:
-            diag_baton.abort()
-            off_baton.abort()
+        for baton in self._batons:
+            baton.abort()
+        self.fabric.cancel()
 
-    def _partition(self, rank, block):
-        W, scheme = self._part_key
-        return self.partitions[(rank, block, W, scheme)]
+    def _run(self, r, t):
+        """Thread ``t``'s share of one multiply on rank ``r``.
 
-    def _run_vector(self, r, t):
+        Thread 0 posts the ghost exchange. Under ``task`` it then waits at
+        once and computes nothing, and thread ``t`` is worker ``t - 1``.
+        Under ``vector`` every thread is worker ``t``, and thread 0 waits
+        only after the diagonal phase, between two rank barriers.
+        """
         lay = self.layouts[r]
         tm = self._tm[r]
         barrier = self._rank_barriers[r]
-        diag_baton, off_baton = self._batons[r]
-        x_local = self._x[lay.own.begin:lay.own.end]
-        recv_handles = None
+        baton = self._batons[r]
+        task = self.cfg.model in TASK_MODELS
+        worker = t - 1 if task else t
+        row_base = lay.own.begin
+        x_local = self._x[row_base:lay.own.end]
         if t == 0:
             t0 = perf_counter()
             recv_handles = self._post_exchange(r, x_local)
             tm.scatter_post = perf_counter() - t0
-        lo, hi = self._partition(r, "diag").rows(t)
-        diag_baton.acquire(t)
-        try:
-            tm.diag_start[t] = perf_counter()
-            _compute_diag(lay.diag_block, lo, hi, x_local, self._partials[r])
-            tm.diag_end[t] = perf_counter()
-        finally:
-            diag_baton.release()
-        self._note_ownership("diag", r, t, lay.own.begin + lo, lay.own.begin + hi)
-        barrier.wait()
-        if t == 0:
-            w0 = perf_counter()
-            self._wait_and_unpack(r, recv_handles)
-            tm.wait = perf_counter() - w0
-        barrier.wait()
-        lo, hi = self._partition(r, "off").rows(t)
-        off_baton.acquire(t)
-        try:
-            tm.off_start[t] = perf_counter()
-            _compute_off_finalize(lay.off_block, lo, hi, self._ghost[r],
-                                  self._partials[r], self._y, lay.own.begin)
-            tm.off_end[t] = perf_counter()
-        finally:
-            off_baton.release()
-        self._note_ownership("off", r, t, lay.own.begin + lo, lay.own.begin + hi)
-
-    def _run_task(self, r, t):
-        lay = self.layouts[r]
-        tm = self._tm[r]
-        barrier = self._rank_barriers[r]
-        diag_baton, off_baton = self._batons[r]
-        x_local = self._x[lay.own.begin:lay.own.end]
-        if t == 0:
-            # Dedicated communication thread: post, actively wait, unpack.
-            t0 = perf_counter()
-            recv_handles = self._post_exchange(r, x_local)
-            tm.scatter_post = perf_counter() - t0
-            w0 = perf_counter()
-            self._wait_and_unpack(r, recv_handles)
-            tm.wait = perf_counter() - w0
-        else:
-            lo, hi = self._partition(r, "diag").rows(t - 1)
-            diag_baton.acquire(t - 1)
+            if task:
+                self._wait_and_unpack(r, recv_handles)
+        if worker >= 0:
+            lo, hi = self.partitions[(r, "diag")].rows(worker)
+            baton.acquire(worker)
             try:
                 tm.diag_start[t] = perf_counter()
-                _compute_diag(lay.diag_block, lo, hi, x_local, self._partials[r])
+                start_rows(lay.diag_block, lo, hi, x_local, self._partials[r])
                 tm.diag_end[t] = perf_counter()
             finally:
-                diag_baton.release()
-            self._note_ownership("diag", r, t, lay.own.begin + lo, lay.own.begin + hi)
+                baton.release()
+            self._note_ownership("diag", r, t, row_base + lo, row_base + hi)
         barrier.wait()
-        if t > 0:
-            lo, hi = self._partition(r, "off").rows(t - 1)
-            off_baton.acquire(t - 1)
+        if not task:
+            if t == 0:
+                self._wait_and_unpack(r, recv_handles)
+            barrier.wait()
+        if worker >= 0:
+            lo, hi = self.partitions[(r, "off")].rows(worker)
+            baton.acquire(self.cfg.worker_count + worker)
             try:
                 tm.off_start[t] = perf_counter()
-                _compute_off_finalize(lay.off_block, lo, hi, self._ghost[r],
-                                      self._partials[r], self._y, lay.own.begin)
+                finish_rows(lay.off_block, lo, hi, self._ghost[r],
+                            self._partials[r], self._y, row_base)
                 tm.off_end[t] = perf_counter()
             finally:
-                off_baton.release()
-            self._note_ownership("off", r, t, lay.own.begin + lo, lay.own.begin + hi)
+                baton.release()
+            self._note_ownership("off", r, t, row_base + lo, row_base + hi)
 
     def _post_exchange(self, r, x_local):
         plan, fab = self.plan, self.fabric
@@ -495,40 +471,16 @@ class MultContext:
         return handles
 
     def _wait_and_unpack(self, r, recv_handles):
+        w0 = perf_counter()
         payloads = self.fabric.wait_all(recv_handles)
         ghost = self._ghost[r]
         for k, src in enumerate(self.plan.peers_in(r)):
             ghost[self.plan.recv_pos[r][src]] = payloads[k]
+        self._tm[r].wait = perf_counter() - w0
 
     def _note_ownership(self, phase, r, t, glo, ghi):
         if self._record_ownership and glo < ghi:
             self.ownership[phase].append((r, t, glo, ghi))
-
-
-def _compute_diag(block, lo, hi, x_local, partials):
-    """Phase 1: start each owned row's expansion from its diagonal products."""
-    if lo == hi:
-        return
-    offs = block.row_offsets
-    p0, p1 = int(offs[lo]), int(offs[hi])
-    prods = (block.values[p0:p1] * x_local[block.col_indices[p0:p1]]).tolist()
-    offlist = (offs[lo:hi + 1] - p0).tolist()
-    for i in range(hi - lo):
-        partials[lo + i] = exact.expansion(prods[offlist[i]:offlist[i + 1]])
-
-
-def _compute_off_finalize(block, lo, hi, ghost, partials, y, row_base):
-    """Phase 2: fold in off-diagonal products and round each row once."""
-    if lo == hi:
-        return
-    offs = block.row_offsets
-    p0, p1 = int(offs[lo]), int(offs[hi])
-    prods = (block.values[p0:p1] * ghost[block.col_indices[p0:p1]]).tolist()
-    offlist = (offs[lo:hi + 1] - p0).tolist()
-    for i in range(hi - lo):
-        pl = partials[lo + i]
-        exact.extend(pl, prods[offlist[i]:offlist[i + 1]])
-        y[row_base + lo + i] = fsum(pl)
 
 
 def create_context(A: CsrMatrix, cfg: ExecConfig, fabric: Fabric | None = None,

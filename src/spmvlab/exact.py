@@ -1,4 +1,4 @@
-"""Order-independent, exactly rounded floating-point accumulation.
+"""Order-independent, exactly rounded row sums: the two-phase kernels.
 
 Every row sum in this package is *correctly rounded*: the returned double
 is the exact real-number sum of the addends, rounded once. Since the exact
@@ -10,27 +10,17 @@ behind the engine's bitwise reproducibility guarantee.
 The running state is a Shewchuk expansion: a list of non-overlapping
 partials whose exact sum equals the exact sum of everything accumulated so
 far. ``math.fsum`` over the partials yields the correctly rounded total.
+
+The two phases of the row sum live here and serve both the threaded
+engine and the sequential ``layout.two_phase_multiply``:
+``start_rows`` starts each row's expansion from its diagonal-block
+products, and ``finish_rows`` folds in the off-diagonal products and
+rounds each row once.
 """
 
 from math import fsum
 
-__all__ = ["grow", "extend", "expansion", "rounded"]
-
-
-def grow(partials: list[float], value: float) -> None:
-    """Add a single addend to an expansion, in place."""
-    x = value
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
+__all__ = ["extend", "start_rows", "finish_rows"]
 
 
 def extend(partials: list[float], values) -> list[float]:
@@ -54,11 +44,29 @@ def extend(partials: list[float], values) -> list[float]:
     return partials
 
 
-def expansion(values) -> list[float]:
-    """Fresh expansion holding the exact sum of ``values``."""
-    return extend([], values)
+def start_rows(block, lo, hi, x_local, partials):
+    """Phase 1: start the expansion of each row in ``[lo, hi)`` from its
+    products with ``x_local``, storing it in ``partials[row]``."""
+    if lo == hi:
+        return
+    offs = block.row_offsets
+    p0, p1 = int(offs[lo]), int(offs[hi])
+    prods = (block.values[p0:p1] * x_local[block.col_indices[p0:p1]]).tolist()
+    offlist = (offs[lo:hi + 1] - p0).tolist()
+    for i in range(hi - lo):
+        partials[lo + i] = extend([], prods[offlist[i]:offlist[i + 1]])
 
 
-def rounded(partials: list[float]) -> float:
-    """Correctly rounded double value of an expansion."""
-    return fsum(partials)
+def finish_rows(block, lo, hi, ghost, partials, y, row_base):
+    """Phase 2: fold each row's products with ``ghost`` into its expansion
+    and round it once into ``y[row_base + row]``."""
+    if lo == hi:
+        return
+    offs = block.row_offsets
+    p0, p1 = int(offs[lo]), int(offs[hi])
+    prods = (block.values[p0:p1] * ghost[block.col_indices[p0:p1]]).tolist()
+    offlist = (offs[lo:hi + 1] - p0).tolist()
+    for i in range(hi - lo):
+        pl = partials[lo + i]
+        extend(pl, prods[offlist[i]:offlist[i + 1]])
+        y[row_base + lo + i] = fsum(pl)

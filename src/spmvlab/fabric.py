@@ -15,11 +15,13 @@ mode latency elapses in real time from the moment of posting, so a late
 enough ``wait_all`` returns without contributing any progress time.
 
 Deadlock detection is out of scope: a receive with no matching send
-blocks forever.
+blocks until the fabric is cancelled. ``cancel`` is how a failed peer
+releases the ranks waiting on it.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -41,8 +43,9 @@ class LatencyModel:
     progress: str = "active"
 
     def __post_init__(self):
-        if self.per_message_s < 0 or self.per_element_s < 0:
-            raise ValueError("latency delays must be >= 0")
+        for delay in (self.per_message_s, self.per_element_s):
+            if not 0 <= delay < math.inf:
+                raise ValueError(f"latency delays must be finite and >= 0, got {delay}")
         if self.progress not in PROGRESS_MODES:
             raise ValueError(
                 f"progress must be one of {PROGRESS_MODES}, got {self.progress!r}")
@@ -84,6 +87,7 @@ class Fabric:
         self._lock = threading.Lock()
         self._arrived = threading.Condition(self._lock)
         self._queues: dict[tuple[int, int, int], deque] = {}
+        self._cancelled = False
 
     def _check_rank(self, rank: int, what: str) -> None:
         if not 0 <= rank < self.nranks:
@@ -111,6 +115,17 @@ class Fabric:
         self._check_rank(dst, "destination")
         return MessageHandle(self, "recv", src, dst, tag, expected_len)
 
+    def cancel(self) -> None:
+        """Fail every blocked and every later ``wait_all`` call.
+
+        Waiters wake at once with a ``RuntimeError``. Cancellation
+        is permanent: a fabric whose exchange was abandoned may hold
+        messages nobody will receive.
+        """
+        with self._arrived:
+            self._cancelled = True
+            self._arrived.notify_all()
+
     def wait_all(self, handles) -> list[np.ndarray]:
         """Complete the given handles, returning receive payloads in order.
 
@@ -119,6 +134,7 @@ class Fabric:
         the message's modeled latency, one message after another. In
         ``"background"`` mode each message is ready ``delay`` after its
         post time and only the remaining real time, if any, is waited.
+        Raises ``RuntimeError`` once the fabric is cancelled.
         """
         payloads = []
         for h in handles:
@@ -130,8 +146,12 @@ class Fabric:
                 raise ValueError(f"handle already completed: {h!r}")
             key = (h.src, h.dst, h.tag)
             with self._arrived:
-                while not self._queues.get(key):
+                while not self._cancelled and not self._queues.get(key):
                     self._arrived.wait()
+                if self._cancelled:
+                    raise RuntimeError(
+                        f"fabric cancelled while waiting on {h.src}->{h.dst} "
+                        f"tag={h.tag}")
                 data, posted = self._queues[key].popleft()
             if len(data) != h.expected_len:
                 raise ValueError(

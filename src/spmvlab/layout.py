@@ -11,12 +11,11 @@ must ship to which peers so that every ghost buffer can be filled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
 
 import numpy as np
 
-from . import exact
 from .balance import equal_rows_partition, greedy_partition
+from .exact import finish_rows, start_rows
 from .sparse import CsrMatrix
 
 __all__ = [
@@ -220,25 +219,19 @@ def fill_ghost(plan: ScatterPlan, rank: int, x: np.ndarray, ghost: np.ndarray) -
 def two_phase_multiply(layouts, plan: ScatterPlan, x: np.ndarray) -> np.ndarray:
     """Sequential reference of the distributed two-phase multiply.
 
-    Phase one accumulates each owned row's diagonal-block products; phase
-    two gathers ghost values per the scatter plan, folds in the
-    off-diagonal products, and rounds once. Because row sums are exactly
-    rounded, the concatenated per-rank results equal ``spmv_serial`` of
-    the reassembled matrix bit for bit.
+    Each rank's rows run through the engine's two kernels, ``start_rows``
+    on the diagonal block and then, once ``fill_ghost`` has gathered the
+    ghost values per the scatter plan, ``finish_rows`` on the off-diagonal
+    block. Because row sums are exactly rounded, the concatenated per-rank
+    results equal ``spmv_serial`` of the reassembled matrix bit for bit.
     """
     n = layouts[-1].own.end
     y = np.empty(n)
     for lay in layouts:
         ghost = np.empty(len(lay.ghost_cols))
         fill_ghost(plan, lay.rank, x, ghost)
-        x_local = x[lay.own.begin:lay.own.end]
-        d, o = lay.diag_block, lay.off_block
-        dprod = (d.values * x_local[d.col_indices]).tolist()
-        oprod = (o.values * ghost[o.col_indices]).tolist()
-        doffs = d.row_offsets.tolist()
-        ooffs = o.row_offsets.tolist()
-        for i in range(lay.own.nrows):
-            partials = exact.expansion(dprod[doffs[i]:doffs[i + 1]])
-            exact.extend(partials, oprod[ooffs[i]:ooffs[i + 1]])
-            y[lay.own.begin + i] = fsum(partials)
+        nrows = lay.own.nrows
+        partials = [None] * nrows
+        start_rows(lay.diag_block, 0, nrows, x[lay.own.begin:lay.own.end], partials)
+        finish_rows(lay.off_block, 0, nrows, ghost, partials, y, lay.own.begin)
     return y

@@ -1,4 +1,6 @@
 import csv
+import gc
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +226,30 @@ def test_cli_latency_flags(tmp_path):
                "--threads", "2", "--reps", "2", "--latency-us", "100",
                "--latency-per-elem-ns", "50", "--progress", "background"])
     assert rc == 0
+
+
+def test_cli_rejects_non_finite_latency(tmp_path, capsys):
+    mtx = tmp_path / "m.mtx"
+    main(["gen", "2", "2", "2", str(mtx)])
+    for flag in ("--latency-us", "--latency-per-elem-ns"):
+        for bad in ("nan", "inf"):
+            rc = main(["spmv", str(mtx), "--model", "task", "--ranks", "2",
+                       "--threads", "2", "--reps", "1", flag, bad])
+            assert rc == 2, (flag, bad)
+            assert "finite" in capsys.readouterr().err
+
+
+def test_append_record_closes_files(tmp_path):
+    path = tmp_path / "r.csv"
+    rec = BenchRecord("m", "serial", 1, 1, reps=1, median_s=0.5, flops=2,
+                      gflops=4e-9)
+    append_record(path, rec)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        append_record(path, rec)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert len(load_records(path)) == 2
 
 
 def test_cli_weighted_decomposition(tmp_path):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -92,7 +94,7 @@ def test_task_balanced_partitions_beat_equal_rows_on_tridiagonal():
         W = ctx.cfg.worker_count
         assert W == 3
         for lay in ctx.layouts:
-            part = ctx.partitions[(lay.rank, "diag", W, "balanced")]
+            part = ctx.partitions[(lay.rank, "diag")]
             nnz = lay.diag_block.row_nnz()
             balanced = balance_stats(part, nnz).imbalance
             from spmvlab import equal_rows_partition
@@ -281,3 +283,36 @@ def test_mult_functions_module_level():
         y2, tms = mult_phase_timings(ctx, x)
         assert y.tobytes() == y2.tobytes()
         assert len(tms) == 1
+
+
+class _FailingSendFabric(Fabric):
+    """Fabric whose sends from rank 1 fail, as a crashed peer would, late
+    enough that rank 0 is already blocked waiting for them."""
+
+    def post_send(self, src, dst, payload, tag=0):
+        if src == 1:
+            time.sleep(0.05)
+            raise RuntimeError("injected send failure")
+        return super().post_send(src, dst, payload, tag)
+
+
+@pytest.mark.parametrize("model,threads", [("task", 2), ("vector", 1)])
+def test_peer_failure_releases_every_thread(model, threads):
+    A = extruded_laplacian(8, 8, 8)
+    ctx = create_context(A, ExecConfig(model, 2, threads), _FailingSendFabric(2))
+    with pytest.raises(RuntimeError, match="injected"):
+        ctx.mat_mult(np.ones(A.ncols))
+    t0 = time.perf_counter()
+    ctx.close()
+    assert time.perf_counter() - t0 < 1.0
+    assert not any(th.is_alive() for th in ctx._threads)
+
+
+def test_non_finite_input_rejected_before_multiply():
+    A = csr_from_triplets([(i, j, 1.0) for i in range(2) for j in range(2)], 2, 2)
+    for model in MODELS:
+        with create_context(A, ExecConfig(model, 2, 2)) as ctx:
+            for bad in ([np.inf, 1.0], [1.0, np.nan]):
+                with pytest.raises(ValueError, match="non-finite"):
+                    ctx.mat_mult(np.array(bad))
+            assert ctx.mat_mult(np.array([2.0, 1.0])).tolist() == [3.0, 3.0]

@@ -12,6 +12,11 @@ def test_latency_model_validation():
         LatencyModel(per_message_s=-1.0)
     with pytest.raises(ValueError):
         LatencyModel(progress="eager")
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            LatencyModel(per_message_s=bad)
+        with pytest.raises(ValueError, match="finite"):
+            LatencyModel(per_element_s=bad)
     assert LatencyModel().progress == "active"
 
 
@@ -184,3 +189,25 @@ def test_send_handles_are_noop_in_wait():
     hr = fab.post_recv(1, 0, 1)
     payloads = fab.wait_all([hs, hr])
     assert len(payloads) == 1
+
+
+def test_cancel_wakes_blocked_and_later_waits():
+    fab = create_fabric(2)
+    errors = []
+
+    def receiver():
+        try:
+            fab.wait_all([fab.post_recv(1, 0, 1)])
+        except RuntimeError as e:
+            errors.append(e)
+
+    th = threading.Thread(target=receiver, daemon=True)
+    th.start()
+    time.sleep(0.03)
+    fab.cancel()
+    th.join(timeout=2.0)
+    assert not th.is_alive()
+    assert len(errors) == 1 and "cancelled" in str(errors[0])
+    fab.post_send(0, 1, [1.0])
+    with pytest.raises(RuntimeError, match="cancelled"):
+        fab.wait_all([fab.post_recv(1, 0, 1)])
