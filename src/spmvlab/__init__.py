@@ -18,8 +18,8 @@ from .balance import (BalanceStats, ThreadPartition, balance_stats, diffuse,
                       equal_rows_partition, greedy_partition)
 from .bench import (BenchRecord, CSV_HEADER, OracleMismatchError,
                     partition_stats, run_cg_benchmark, run_spmv_benchmark)
-from .engine import (ExecConfig, MODELS, MultContext, RankPhaseTimings,
-                     create_context, mat_mult, mult_phase_timings)
+from .engine import (ExecConfig, MODELS, MultContext, PhaseEvent,
+                     RankPhaseTimings, create_context)
 from .fabric import Fabric, LatencyModel, MessageHandle, create_fabric
 from .generate import arrowhead, extruded_laplacian
 from .krylov import (CgBreakdownError, SingularPreconditionerError,
@@ -38,8 +38,8 @@ __all__ = [
     "equal_rows_partition", "greedy_partition",
     "BenchRecord", "CSV_HEADER", "OracleMismatchError", "partition_stats",
     "run_cg_benchmark", "run_spmv_benchmark",
-    "ExecConfig", "MODELS", "MultContext", "RankPhaseTimings",
-    "create_context", "mat_mult", "mult_phase_timings",
+    "ExecConfig", "MODELS", "MultContext", "PhaseEvent", "RankPhaseTimings",
+    "create_context",
     "Fabric", "LatencyModel", "MessageHandle", "create_fabric",
     "arrowhead", "extruded_laplacian",
     "CgBreakdownError", "SingularPreconditionerError", "SolveReport",

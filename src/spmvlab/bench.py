@@ -9,9 +9,10 @@ a timing for a wrong answer.
 Record conventions: ``flops = 2 * nnz * reps`` counts the total useful
 work of the run, ``gflops = flops / (median_s * 1e9)``, and parallel
 efficiency is ``(t_base * cores_base) / (t * cores)`` against a named
-baseline record (a record with no baseline is its own, with efficiency
-exactly 1.0). For solve records ``reps`` is the number of multiplies the
-solve performed, keeping the flop accounting uniform.
+baseline record of the same kind, multiply or solve (a record with no
+baseline is its own, with efficiency exactly 1.0). For solve records
+``reps`` is the number of multiplies the solve performed, keeping the
+flop accounting uniform.
 """
 
 from __future__ import annotations
@@ -207,10 +208,12 @@ def load_records(path) -> list[BenchRecord]:
     return [BenchRecord.from_csv_row(r) for r in rows[1:]]
 
 
-def find_baseline(records, matrix_id: str) -> BenchRecord | None:
-    """First recorded run of the same matrix, if any."""
+def find_baseline(records, record: BenchRecord) -> BenchRecord | None:
+    """First recorded run of the same matrix and kind (solve rows have
+    ``converged`` set, multiply rows do not) as ``record``, if any."""
+    solve = record.converged is not None
     for rec in records:
-        if rec.matrix == matrix_id:
+        if rec.matrix == record.matrix and (rec.converged is not None) == solve:
             return rec
     return None
 

@@ -72,7 +72,7 @@ def _config_from(args) -> ExecConfig:
 
 def _record_result(args, record):
     if args.csv:
-        baseline = find_baseline(load_records(args.csv), record.matrix)
+        baseline = find_baseline(load_records(args.csv), record)
         with_efficiency(record, baseline)
         append_record(args.csv, record)
     else:

@@ -25,14 +25,17 @@ sums are exactly rounded by the two phase kernels in ``exact``, which
 one thread of exactly one rank, and the diagonal/off-diagonal grouping
 cannot change a correctly rounded result.
 
-Within one rank's team, compute kernels run in worker order, handed off
-through a baton: the interpreter lock serializes Python-level compute
-anyway, so this costs no wall time, but it makes each thread's measured
-kernel duration equal its actual share of work (per-thread CPU clocks
-are too coarse on some hosts to attribute millisecond phases). The
-communication wait is a real sleep and overlaps compute for real; during
-a multiply the interpreter switch interval is narrowed so a woken waiter
-does not stall behind a compute thread's full default time slice.
+Each multiply records where its time went in ``ctx.events``, one
+:class:`PhaseEvent` per thread and phase; per-rank timings and row
+ownership are views of it. Within one rank's team, compute kernels run
+in worker order, handed off through a baton: the interpreter lock
+serializes Python-level compute anyway, so this costs no wall time, but
+it makes each compute event's duration its thread's actual share of work
+(per-thread CPU clocks are too coarse on some hosts to attribute
+millisecond phases). The communication wait is a real sleep and overlaps
+compute for real; during a multiply the interpreter switch interval is
+narrowed so a woken waiter does not stall behind a compute thread's full
+default time slice.
 
 Thread partitions are computed once at context creation and cached with
 the context, keyed by rank and block (``"diag"`` or ``"off"``); repeat
@@ -44,9 +47,10 @@ from __future__ import annotations
 
 import sys
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from math import nan
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,15 +64,15 @@ __all__ = [
     "MODELS",
     "TASK_MODELS",
     "ExecConfig",
+    "PhaseEvent",
     "RankPhaseTimings",
     "MultContext",
     "create_context",
-    "mat_mult",
-    "mult_phase_timings",
 ]
 
 MODELS = ("serial", "vector", "task", "task-balanced")
 TASK_MODELS = ("task", "task-balanced")
+MAX_THREADS = 256
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,8 @@ class ExecConfig:
     communication thread plus at least one worker. The ``serial`` model
     ignores ``nranks`` and ``threads_per_rank``. With
     ``weighted_decomposition`` the rank-level row split follows the
-    greedy nonzero cut instead of equal row counts.
+    greedy nonzero cut instead of equal row counts. ``nranks *
+    threads_per_rank`` may not exceed ``MAX_THREADS``.
     """
 
     model: str
@@ -99,6 +104,10 @@ class ExecConfig:
             raise ValueError(
                 f"model {self.model!r} needs threads_per_rank >= 2 "
                 "(a communication thread plus at least one worker)")
+        if self.nranks * self.threads_per_rank > MAX_THREADS:
+            raise ValueError(
+                f"{self.nranks} ranks x {self.threads_per_rank} threads "
+                f"exceeds the {MAX_THREADS}-thread limit")
 
     @property
     def worker_count(self) -> int:
@@ -106,6 +115,20 @@ class ExecConfig:
         if self.model in TASK_MODELS:
             return self.threads_per_rank - 1
         return self.threads_per_rank
+
+
+class PhaseEvent(NamedTuple):
+    """One thread's pass through one phase of one multiply: ``"post"``,
+    ``"wait"`` (wait plus unpack), or compute (``"diag"``, ``"off"``)
+    over global rows ``[lo, hi)``. Times are monotonic wall clock."""
+
+    phase: str
+    rank: int
+    thread: int
+    begin: float
+    end: float
+    lo: int = 0
+    hi: int = 0
 
 
 @dataclass
@@ -129,20 +152,44 @@ class RankPhaseTimings:
     off_thread_s: list = field(default_factory=list)
 
 
+_switch_lock = threading.Lock()
+_switch_users = 0
+_switch_saved = 0.0
+
+
+@contextmanager
+def _narrow_switch_interval():
+    """Narrow the process-wide switch interval so a woken communication
+    thread need not sit out a full default slice before it unpacks.
+    Overlapping multiplies share it: the last to finish restores it."""
+    global _switch_users, _switch_saved
+    with _switch_lock:
+        if _switch_users == 0:
+            _switch_saved = sys.getswitchinterval()
+            sys.setswitchinterval(5e-4)
+        _switch_users += 1
+    try:
+        yield
+    finally:
+        with _switch_lock:
+            _switch_users -= 1
+            if _switch_users == 0:
+                sys.setswitchinterval(_switch_saved)
+
+
 class _Baton:
     """Hands compute turns through a rank's workers in order.
 
     With ``W`` workers, worker ``w`` takes turn ``w`` in the diagonal
-    phase and turn ``W + w`` in the off-diagonal phase.
+    phase and turn ``W + w`` in the off-diagonal phase; after turn
+    ``2W - 1`` the count starts over for the next multiply.
     """
 
-    def __init__(self):
+    def __init__(self, turns):
         self._cond = threading.Condition()
+        self._turns = turns
         self._turn = 0
         self._broken = False
-
-    def reset(self):
-        self._turn = 0
 
     def acquire(self, turn):
         with self._cond:
@@ -153,7 +200,7 @@ class _Baton:
 
     def release(self):
         with self._cond:
-            self._turn += 1
+            self._turn = (self._turn + 1) % self._turns
             self._cond.notify_all()
 
     def abort(self):
@@ -162,43 +209,16 @@ class _Baton:
             self._cond.notify_all()
 
 
-class _RankScratch:
-    """Per-rank mutable timing state for the multiply in flight."""
-
-    __slots__ = ("scatter_post", "wait", "diag_start", "diag_end",
-                 "off_start", "off_end")
-
-    def __init__(self, nthreads):
-        self.diag_start = [nan] * nthreads
-        self.diag_end = [nan] * nthreads
-        self.off_start = [nan] * nthreads
-        self.off_end = [nan] * nthreads
-        self.reset()
-
-    def reset(self):
-        self.scatter_post = 0.0
-        self.wait = 0.0
-        for a in (self.diag_start, self.diag_end, self.off_start, self.off_end):
-            for i in range(len(a)):
-                a[i] = nan
-
-
-def _span(starts, ends):
-    s = [v for v in starts if v == v]
-    e = [v for v in ends if v == v]
-    return (max(e) - min(s)) if s and e else 0.0
-
-
 class MultContext:
     """Precomputed layouts, scatter plan, partitions, and worker threads.
 
     Create through :func:`create_context`. A context owns one long-lived
     thread team per rank; call :meth:`close` (or use the context manager
     form) when done. Only one multiply may be in flight at a time.
+    ``events`` holds the :class:`PhaseEvent` list of the last multiply.
     """
 
-    def __init__(self, A: CsrMatrix, cfg: ExecConfig, fabric: Fabric | None = None,
-                 record_ownership: bool = False):
+    def __init__(self, A: CsrMatrix, cfg: ExecConfig, fabric: Fabric | None = None):
         self.matrix = A
         self.cfg = cfg
         if fabric is None:
@@ -209,8 +229,7 @@ class MultContext:
         self.fabric = fabric
         self.partition_builds = 0
         self.partitions = {}
-        self.ownership = None
-        self._record_ownership = record_ownership
+        self.events: list[PhaseEvent] = []
 
         weights = A.row_nnz() if cfg.weighted_decomposition else None
         self.ranges = decompose_rows(A.nrows, cfg.nranks, weights)
@@ -246,8 +265,7 @@ class MultContext:
             self._send_pos.append(pos)
         self._ghost = [np.empty(len(lay.ghost_cols)) for lay in self.layouts]
         self._partials = [[None] * lay.own.nrows for lay in self.layouts]
-        self._tm = [_RankScratch(cfg.threads_per_rank) for _ in range(cfg.nranks)]
-        self._batons = [_Baton() for _ in range(cfg.nranks)]
+        self._batons = [_Baton(2 * cfg.worker_count) for _ in range(cfg.nranks)]
 
         self._x = None
         self._y = None
@@ -304,16 +322,38 @@ class MultContext:
         The result is bit-identical to ``spmv_serial(A, x)`` for every
         model, rank count, and thread count.
         """
-        y, _ = self._multiply(x)
-        return y
+        return self._multiply(x)
 
     def mult_phase_timings(self, x):
         """Multiply and report per-rank phase durations.
 
         Returns ``(y, timings)`` with one :class:`RankPhaseTimings` per
-        rank.
+        rank, folded from :attr:`events`.
         """
-        return self._multiply(x)
+        y = self._multiply(x)
+        by_rank = {}
+        for e in self.events:
+            by_rank.setdefault(e.rank, {}).setdefault(e.phase, []).append(e)
+        timings = []
+        for r, phases in sorted(by_rank.items()):
+            span = {p: max(e.end for e in evs) - min(e.begin for e in evs)
+                    for p, evs in phases.items()}
+            timings.append(RankPhaseTimings(
+                r, span.get("post", 0.0), span.get("diag", 0.0),
+                span.get("wait", 0.0), span.get("off", 0.0),
+                [e.end - e.begin for e in phases.get("diag", ())],
+                [e.end - e.begin for e in phases.get("off", ())]))
+        return y, timings
+
+    @property
+    def ownership(self) -> dict:
+        """``{"diag": [...], "off": [...]}`` of ``(rank, thread, lo, hi)``:
+        the nonempty global rows each thread computed in the last multiply."""
+        owned = {"diag": [], "off": []}
+        for e in self.events:
+            if e.lo < e.hi:
+                owned[e.phase].append((e.rank, e.thread, e.lo, e.hi))
+        return owned
 
     def _multiply(self, x):
         A = self.matrix
@@ -322,65 +362,36 @@ class MultContext:
             raise ValueError(f"vector length {x.shape} does not match ncols={A.ncols}")
         # An infinite product turns the expansion's error terms into NaN,
         # so the threaded kernels cannot round such a row like the oracle.
-        if not np.all(np.isfinite(x)):
-            raise ValueError("input vector contains non-finite entries")
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(A.values * x[A.col_indices]).all()
+        if not finite:
+            raise ValueError("input gives non-finite products A[i, j] * x[j]")
         if self.cfg.model == "serial":
             w0 = perf_counter()
             y = spmv_serial(A, x)
-            wall = perf_counter() - w0
-            if self._record_ownership:
-                self.ownership = {"diag": [(0, 0, 0, A.nrows)],
-                                  "off": [(0, 0, 0, A.nrows)]}
-            return y, [RankPhaseTimings(0, 0.0, wall, 0.0, 0.0, [wall], [0.0])]
+            w1 = perf_counter()
+            self.events = [PhaseEvent("diag", 0, 0, w0, w1, 0, A.nrows),
+                           PhaseEvent("off", 0, 0, w1, w1, 0, A.nrows)]
+            return y
         if self._closed or self._broken:
             raise RuntimeError("context is closed or broken")
         if not self._busy.acquire(blocking=False):
             raise RuntimeError("a multiply is already in flight on this context")
-        # A woken communication thread must not sit out a full default
-        # interpreter switch interval before it can unpack; keep handoffs
-        # tight for the duration of the multiply.
-        old_switch = sys.getswitchinterval()
-        sys.setswitchinterval(5e-4)
         try:
             self._x = x
             self._y = np.empty(A.nrows)
-            for tm in self._tm:
-                tm.reset()
-            for baton in self._batons:
-                baton.reset()
-            if self._record_ownership:
-                self.ownership = {"diag": [], "off": []}
-            try:
+            self.events = []
+            with _narrow_switch_interval():
                 self._start.wait()
                 self._done.wait()
-            except threading.BrokenBarrierError:
-                self._broken = True
-                if self._errors:
-                    raise self._errors[0] from None
-                raise RuntimeError("worker thread failed during multiply") from None
-            return self._y, self._collect_timings()
+            return self._y
+        except threading.BrokenBarrierError:
+            self._broken = True
+            if self._errors:
+                raise self._errors[0] from None
+            raise RuntimeError("worker thread failed during multiply") from None
         finally:
-            sys.setswitchinterval(old_switch)
             self._busy.release()
-
-    def _collect_timings(self):
-        out = []
-        for r in range(self.cfg.nranks):
-            tm = self._tm[r]
-            diag_thread = [e - s for s, e in zip(tm.diag_start, tm.diag_end)
-                           if s == s and e == e]
-            off_thread = [e - s for s, e in zip(tm.off_start, tm.off_end)
-                          if s == s and e == e]
-            out.append(RankPhaseTimings(
-                rank=r,
-                scatter_post_s=tm.scatter_post,
-                diag_s=_span(tm.diag_start, tm.diag_end),
-                wait_s=tm.wait,
-                off_diag_s=_span(tm.off_start, tm.off_end),
-                diag_thread_s=diag_thread,
-                off_thread_s=off_thread,
-            ))
-        return out
 
     # -- worker side --------------------------------------------------------
 
@@ -422,7 +433,6 @@ class MultContext:
         only after the diagonal phase, between two rank barriers.
         """
         lay = self.layouts[r]
-        tm = self._tm[r]
         barrier = self._rank_barriers[r]
         baton = self._batons[r]
         task = self.cfg.model in TASK_MODELS
@@ -432,19 +442,19 @@ class MultContext:
         if t == 0:
             t0 = perf_counter()
             recv_handles = self._post_exchange(r, x_local)
-            tm.scatter_post = perf_counter() - t0
+            self.events.append(PhaseEvent("post", r, 0, t0, perf_counter()))
             if task:
                 self._wait_and_unpack(r, recv_handles)
         if worker >= 0:
             lo, hi = self.partitions[(r, "diag")].rows(worker)
             baton.acquire(worker)
             try:
-                tm.diag_start[t] = perf_counter()
+                t0 = perf_counter()
                 start_rows(lay.diag_block, lo, hi, x_local, self._partials[r])
-                tm.diag_end[t] = perf_counter()
+                self.events.append(PhaseEvent("diag", r, t, t0, perf_counter(),
+                                              row_base + lo, row_base + hi))
             finally:
                 baton.release()
-            self._note_ownership("diag", r, t, row_base + lo, row_base + hi)
         barrier.wait()
         if not task:
             if t == 0:
@@ -454,13 +464,13 @@ class MultContext:
             lo, hi = self.partitions[(r, "off")].rows(worker)
             baton.acquire(self.cfg.worker_count + worker)
             try:
-                tm.off_start[t] = perf_counter()
+                t0 = perf_counter()
                 finish_rows(lay.off_block, lo, hi, self._ghost[r],
                             self._partials[r], self._y, row_base)
-                tm.off_end[t] = perf_counter()
+                self.events.append(PhaseEvent("off", r, t, t0, perf_counter(),
+                                              row_base + lo, row_base + hi))
             finally:
                 baton.release()
-            self._note_ownership("off", r, t, row_base + lo, row_base + hi)
 
     def _post_exchange(self, r, x_local):
         plan, fab = self.plan, self.fabric
@@ -476,25 +486,12 @@ class MultContext:
         ghost = self._ghost[r]
         for k, src in enumerate(self.plan.peers_in(r)):
             ghost[self.plan.recv_pos[r][src]] = payloads[k]
-        self._tm[r].wait = perf_counter() - w0
-
-    def _note_ownership(self, phase, r, t, glo, ghi):
-        if self._record_ownership and glo < ghi:
-            self.ownership[phase].append((r, t, glo, ghi))
+        self.events.append(PhaseEvent("wait", r, 0, w0, perf_counter()))
 
 
-def create_context(A: CsrMatrix, cfg: ExecConfig, fabric: Fabric | None = None,
-                   *, record_ownership: bool = False) -> MultContext:
+def create_context(A: CsrMatrix, cfg: ExecConfig,
+                   fabric: Fabric | None = None) -> MultContext:
     """Build a multiply context: decomposition, scatter plan, partitions,
     and (for threaded models) the long-lived worker thread teams."""
-    return MultContext(A, cfg, fabric, record_ownership=record_ownership)
+    return MultContext(A, cfg, fabric)
 
-
-def mat_mult(ctx: MultContext, x) -> np.ndarray:
-    """y = A x under the context's execution model; see MultContext.mat_mult."""
-    return ctx.mat_mult(x)
-
-
-def mult_phase_timings(ctx: MultContext, x):
-    """Multiply with per-rank phase timings; see MultContext.mult_phase_timings."""
-    return ctx.mult_phase_timings(x)

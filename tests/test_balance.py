@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spmvlab import (ThreadPartition, balance_stats, diffuse,
                      equal_rows_partition, greedy_partition)
@@ -93,17 +95,19 @@ def test_partitions_are_pure_functions():
             == diffuse(greedy_partition(nnz, 3), nnz))
 
 
-def test_partition_boundary_invariants():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        n = int(rng.integers(0, 25))
-        W = int(rng.integers(1, 6))
-        nnz = rng.integers(0, 9, n).tolist()
-        for part in (equal_rows_partition(n, W), greedy_partition(nnz, W),
-                     diffuse(greedy_partition(nnz, W), nnz)):
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 30), max_size=40), st.integers(1, 8))
+def test_partition_boundary_invariants(nnz, W):
+    n = len(nnz)
+    equal, greedy = equal_rows_partition(n, W), greedy_partition(nnz, W)
+    for start in (equal, greedy):
+        diffused = diffuse(start, nnz)
+        for part in (start, diffused):
             b = part.boundaries
-            assert b[0] == 0 and b[-1] == n and len(b) == W + 1
+            assert len(b) == W + 1 and b[0] == 0 and b[-1] == n
             assert all(b[i] <= b[i + 1] for i in range(W))
+        assert (max_load_of(diffused.boundaries, nnz)
+                <= max_load_of(start.boundaries, nnz))
 
 
 def test_partition_validation():

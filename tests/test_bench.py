@@ -1,6 +1,7 @@
 import csv
 import gc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,8 +82,9 @@ def test_csv_round_trip(tmp_path):
     back = load_records(path)
     assert back[0] == rec
     assert back[1] == rec2
-    assert find_baseline(back, "m.mtx") == rec
-    assert find_baseline(back, "other") is None
+    assert find_baseline(back, rec2) == rec
+    assert find_baseline(back, replace(rec, matrix="other")) is None
+    assert find_baseline(back, replace(rec, converged=None)) is None
 
 
 def test_csv_empty_fields_for_inapplicable(tmp_path):
@@ -258,3 +260,29 @@ def test_cli_weighted_decomposition(tmp_path):
     rc = main(["spmv", str(mtx), "--model", "vector", "--ranks", "2",
                "--threads", "2", "--reps", "2", "--weighted-decomp"])
     assert rc == 0
+
+
+def test_cli_cg_efficiency_baseline_is_a_solve(tmp_path, capsys):
+    mtx = tmp_path / "m.mtx"
+    csv_path = tmp_path / "r.csv"
+    main(["gen", "4", "4", "4", str(mtx)])
+    assert main(["spmv", str(mtx), "--reps", "2", "--csv", str(csv_path)]) == 0
+    assert main(["cg", str(mtx), "--csv", str(csv_path)]) == 0
+    assert main(["cg", str(mtx), "--model", "task", "--ranks", "2",
+                 "--threads", "2", "--csv", str(csv_path)]) == 0
+    spmv, cg, cg4 = load_records(csv_path)
+    assert spmv.converged is None and cg.converged is True
+    assert spmv.efficiency == 1.0 and cg.efficiency == 1.0
+    assert cg4.efficiency == (cg.median_s * 1) / (cg4.median_s * 4)
+
+
+def test_cli_rejects_oversize_thread_count(tmp_path, capsys):
+    mtx = tmp_path / "m.mtx"
+    main(["gen", "2", "2", "2", str(mtx)])
+    capsys.readouterr()
+    # serial spawns no rank threads, so no version of this call can start
+    # a million of them; the limit applies to every model
+    rc = main(["spmv", str(mtx), "--model", "serial", "--ranks", "10000",
+               "--threads", "100", "--reps", "1"])
+    assert rc == 2
+    assert "thread limit" in capsys.readouterr().err

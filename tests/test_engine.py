@@ -1,3 +1,5 @@
+import sys
+import threading
 import time
 
 import numpy as np
@@ -5,8 +7,8 @@ import pytest
 
 from spmvlab import (ExecConfig, Fabric, LatencyModel, MODELS, balance_stats,
                      create_context, create_fabric, csr_from_triplets,
-                     extruded_laplacian, mat_mult, mult_phase_timings,
-                     spmv_serial)
+                     extruded_laplacian, spmv_serial)
+from spmvlab.engine import MAX_THREADS
 
 from helpers import identity_csr, random_spd_csr, tridiagonal
 
@@ -25,6 +27,11 @@ def test_config_validation():
     assert ExecConfig("vector", 2, 4).worker_count == 4
     assert ExecConfig("task", 2, 4).worker_count == 3
     assert ExecConfig("task-balanced", 2, 2).worker_count == 1
+    # rejected as configs: no thread is ever spawned for these
+    for ranks, threads in [(10_000, 100), (1, MAX_THREADS + 1), (2, MAX_THREADS)]:
+        with pytest.raises(ValueError, match="thread limit"):
+            ExecConfig("vector", ranks, threads)
+    assert ExecConfig("task", 2, MAX_THREADS // 2).threads_per_rank == MAX_THREADS // 2
 
 
 def test_serial_context_single_rank():
@@ -118,9 +125,8 @@ def test_partition_cache_reused_across_multiplies():
 def test_row_ownership_exactly_once_per_phase():
     A = random_spd_csr(np.random.default_rng(4), 37, 0.2)
     x = np.ones(37)
-    for model in THREADED:
-        with create_context(A, ExecConfig(model, 3, 3),
-                            record_ownership=True) as ctx:
+    for model in MODELS:
+        with create_context(A, ExecConfig(model, 3, 3)) as ctx:
             ctx.mat_mult(x)
             for phase in ("diag", "off"):
                 seen = np.zeros(37, dtype=int)
@@ -275,16 +281,6 @@ def test_task_never_slower_than_vector_at_half_latency():
     assert median_run("task") <= median_run("vector")
 
 
-def test_mult_functions_module_level():
-    A = tridiagonal(5)
-    x = np.arange(5.0)
-    with create_context(A, ExecConfig("task", 1, 2)) as ctx:
-        y = mat_mult(ctx, x)
-        y2, tms = mult_phase_timings(ctx, x)
-        assert y.tobytes() == y2.tobytes()
-        assert len(tms) == 1
-
-
 class _FailingSendFabric(Fabric):
     """Fabric whose sends from rank 1 fail, as a crashed peer would, late
     enough that rank 0 is already blocked waiting for them."""
@@ -310,9 +306,83 @@ def test_peer_failure_releases_every_thread(model, threads):
 
 def test_non_finite_input_rejected_before_multiply():
     A = csr_from_triplets([(i, j, 1.0) for i in range(2) for j in range(2)], 2, 2)
+    # finite inputs whose product A[0, 0] * x[0] overflows to inf
+    big = csr_from_triplets([(0, 0, 1e200), (0, 1, 1.0), (1, 0, 1.0),
+                             (1, 1, 1.0)], 2, 2)
     for model in MODELS:
         with create_context(A, ExecConfig(model, 2, 2)) as ctx:
             for bad in ([np.inf, 1.0], [1.0, np.nan]):
                 with pytest.raises(ValueError, match="non-finite"):
                     ctx.mat_mult(np.array(bad))
             assert ctx.mat_mult(np.array([2.0, 1.0])).tolist() == [3.0, 3.0]
+        with create_context(big, ExecConfig(model, 2, 2)) as ctx:
+            with pytest.raises(ValueError, match="non-finite"):
+                ctx.mat_mult(np.array([1e200, 1.0]))
+            x = np.array([1e100, 1.0])
+            assert ctx.mat_mult(x).tobytes() == spmv_serial(big, x).tobytes()
+
+
+class _GatedFabric(Fabric):
+    """Fabric whose ``wait_all`` holds until ``gate`` is set, so a test
+    can keep a multiply in flight."""
+
+    def __init__(self, nranks):
+        super().__init__(nranks)
+        self.gate = threading.Event()
+        self.waiting = threading.Event()
+
+    def wait_all(self, handles):
+        self.waiting.set()
+        assert self.gate.wait(timeout=10.0)
+        return super().wait_all(handles)
+
+
+def test_overlapping_multiplies_restore_switch_interval():
+    A = tridiagonal(4)
+    x = np.ones(4)
+    before = sys.getswitchinterval()
+    fabs = [_GatedFabric(1), _GatedFabric(1)]
+    ctxs = [create_context(A, ExecConfig("task", 1, 2), f) for f in fabs]
+    callers = [threading.Thread(target=c.mat_mult, args=(x,)) for c in ctxs]
+    try:
+        # A starts, then B starts, then A finishes before B
+        for caller, fab in zip(callers, fabs):
+            caller.start()
+            assert fab.waiting.wait(timeout=10.0)
+        for caller, fab in zip(callers, fabs):
+            fab.gate.set()
+            caller.join(timeout=10.0)
+            assert not caller.is_alive()
+        assert sys.getswitchinterval() == before
+    finally:
+        for fab in fabs:
+            fab.gate.set()
+        for c in ctxs:
+            c.close()
+        sys.setswitchinterval(before)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_phase_events_of_one_multiply(model):
+    A = extruded_laplacian(4, 4, 4)
+    cfg = ExecConfig(model, 2, 3)
+    with create_context(A, cfg) as ctx:
+        _, tms = ctx.mult_phase_timings(np.ones(A.ncols))
+        events = ctx.events
+    assert all(e.begin <= e.end for e in events)
+    for tm in tms:
+        mine = [e for e in events if e.rank == tm.rank]
+        for phase, span, threads in (("diag", tm.diag_s, tm.diag_thread_s),
+                                     ("off", tm.off_diag_s, tm.off_thread_s)):
+            compute = [e for e in mine if e.phase == phase]
+            # baton order: each worker starts after the previous one ends
+            assert all(a.end <= b.begin and a.thread < b.thread
+                       for a, b in zip(compute, compute[1:]))
+            assert threads == [e.end - e.begin for e in compute]
+            assert span == compute[-1].end - compute[0].begin
+            assert len(compute) == (1 if model == "serial" else cfg.worker_count)
+        if model != "serial":
+            assert [(e.phase, e.thread, e.lo, e.hi) for e in mine
+                    if e.phase in ("post", "wait")] == [("post", 0, 0, 0),
+                                                        ("wait", 0, 0, 0)]
+    assert len(tms) == (1 if model == "serial" else 2)

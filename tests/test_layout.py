@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spmvlab import (build_all_layouts, build_rank_layout, build_scatter_plan,
                      csr_from_triplets, decompose_rows, spmv_serial,
@@ -101,21 +103,25 @@ def test_scatter_plan_arrow_matrix_eight_ranks():
         assert plan.send[owner][r].tolist() == [n - 1]
 
 
-def test_plan_symmetry_random():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        n = int(rng.integers(2, 60))
-        A = random_spd_csr(rng, n, 0.15)
-        nranks = int(rng.integers(1, 6))
-        layouts = build_all_layouts(A, decompose_rows(n, nranks))
-        plan = build_scatter_plan(layouts)
-        for r in range(nranks):
-            for q, idx in plan.send[r].items():
-                assert np.array_equal(idx, plan.recv[q][r])
-            # every ghost column appears exactly once across receive lists
-            received = np.concatenate([plan.recv[r][q] for q in plan.recv[r]]) \
-                if plan.recv[r] else np.empty(0, dtype=np.int64)
-            assert np.array_equal(np.sort(received), layouts[r].ghost_cols)
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 7), st.booleans(), st.data())
+def test_plan_symmetry_random(n, nranks, weighted, data):
+    coords = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                          st.integers(0, n - 1)), max_size=80))
+    A = csr_from_triplets([(i, j, 1.0) for i, j in coords], n, n)
+    ranges = decompose_rows(n, nranks, A.row_nnz() if weighted else None)
+    layouts = build_all_layouts(A, ranges)
+    plan = build_scatter_plan(layouts)
+    for r in range(nranks):
+        assert sorted(plan.send[r]) == [q for q in range(nranks) if r in plan.recv[q]]
+        for q, idx in plan.send[r].items():
+            assert np.array_equal(idx, plan.recv[q][r])
+            assert np.all((ranges[r].begin <= idx) & (idx < ranges[r].end))
+        # rank r receives exactly the columns its rows use outside its range
+        rows = range(ranges[r].begin, ranges[r].end)
+        needed = sorted({j for i, j in coords if i in rows and j not in rows})
+        got = sorted(int(g) for idx in plan.recv[r].values() for g in idx)
+        assert got == needed == layouts[r].ghost_cols.tolist()
 
 
 def test_ghost_cols_sorted_and_outside_own_range():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spmvlab import (CsrMatrix, SparseFormatError, csr_from_triplets,
                      spmv_serial, validate_csr)
 
-from helpers import dense_spmv_exact, identity_csr, random_spd_csr
+from helpers import csr_equal, dense_spmv_exact, identity_csr, random_spd_csr
 
 
 def test_triplets_diagonal_case():
@@ -19,6 +21,22 @@ def test_triplets_duplicates_summed():
     assert A.nnz == 1
     assert A.col_indices.tolist() == [1]
     assert A.values.tolist() == [3.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_triplets_round_trip_property(nrows, ncols, data):
+    # quarter-integer values: duplicate sums are exact in any order
+    entries = data.draw(st.lists(st.tuples(
+        st.integers(0, nrows - 1), st.integers(0, ncols - 1),
+        st.integers(-40, 40).map(lambda k: k / 4)), max_size=40))
+    A = csr_from_triplets(entries, nrows, ncols)
+    validate_csr(A)
+    summed = {}
+    for r, c, v in entries:
+        summed[(r, c)] = summed.get((r, c), 0.0) + v
+    assert A.triplets() == sorted((r, c, v) for (r, c), v in summed.items())
+    assert csr_equal(csr_from_triplets(A.triplets(), nrows, ncols), A)
 
 
 def test_triplets_out_of_range_names_entry():
