@@ -178,7 +178,7 @@ def main(argv=None) -> int:
     except OracleMismatchError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ORACLE
-    except (SparseFormatError, ValueError, OSError) as e:
+    except (SparseFormatError, ValueError, OverflowError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_STRUCTURAL
 

@@ -27,11 +27,12 @@ cannot change a correctly rounded result.
 
 Each multiply records where its time went in ``ctx.events``, one
 :class:`PhaseEvent` per thread and phase; per-rank timings and row
-ownership are views of it. Within one rank's team, compute kernels run
-in worker order, handed off through a baton: the interpreter lock
-serializes Python-level compute anyway, so this costs no wall time, but
-it makes each compute event's duration its thread's actual share of work
-(per-thread CPU clocks are too coarse on some hosts to attribute
+ownership are views of it. The rank barrier is the only thing that
+orders phases. Within one rank's team, compute kernels run one at a time
+under a per-rank lock: the interpreter lock serializes Python-level
+compute anyway, so this costs no wall time, but a rank's compute events
+never overlap and each one's duration is its thread's actual share of
+work (per-thread CPU clocks are too coarse on some hosts to attribute
 millisecond phases). The communication wait is a real sleep and overlaps
 compute for real; during a multiply the interpreter switch interval is
 narrowed so a woken waiter does not stall behind a compute thread's full
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import sys
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import NamedTuple
@@ -138,8 +139,9 @@ class RankPhaseTimings:
     ``scatter_post_s`` covers posting sends/receives, ``wait_s`` the
     active wait plus ghost unpack, ``diag_s`` and ``off_diag_s`` the full
     span of the compute phases. The per-thread lists give each compute
-    thread's own kernel duration; team compute is serialized in worker
-    order, so these are true per-thread work times, not phase spans.
+    thread's own kernel duration, in worker order; a rank's kernels run
+    one at a time under its lock, so these are true per-thread work
+    times, not phase spans.
     All values come from the monotonic wall clock.
     """
 
@@ -177,36 +179,28 @@ def _narrow_switch_interval():
                 sys.setswitchinterval(_switch_saved)
 
 
-class _Baton:
-    """Hands compute turns through a rank's workers in order.
+# A row whose product magnitudes sum to this may overflow a running sum;
+# the margin below the largest double covers the check's own rounding.
+_ROW_SUM_LIMIT = np.finfo(np.float64).max * (1 - 2.0**-20)
 
-    With ``W`` workers, worker ``w`` takes turn ``w`` in the diagonal
-    phase and turn ``W + w`` in the off-diagonal phase; after turn
-    ``2W - 1`` the count starts over for the next multiply.
-    """
 
-    def __init__(self, turns):
-        self._cond = threading.Condition()
-        self._turns = turns
-        self._turn = 0
-        self._broken = False
-
-    def acquire(self, turn):
-        with self._cond:
-            while self._turn != turn and not self._broken:
-                self._cond.wait()
-            if self._broken:
-                raise RuntimeError("phase chain aborted")
-
-    def release(self):
-        with self._cond:
-            self._turn = (self._turn + 1) % self._turns
-            self._cond.notify_all()
-
-    def abort(self):
-        with self._cond:
-            self._broken = True
-            self._cond.notify_all()
+def _check_products(A: CsrMatrix, x: np.ndarray) -> None:
+    """Raise ``ValueError`` for a non-finite product ``A[i, j] * x[j]`` and
+    ``OverflowError`` for a row whose magnitudes sum to ``_ROW_SUM_LIMIT``.
+    The common case is one sum over all the magnitudes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mags = A.values * x[A.col_indices]
+        np.abs(mags, out=mags)
+        if mags.sum() < _ROW_SUM_LIMIT:
+            return
+        if not np.isfinite(mags).all():
+            raise ValueError("input gives non-finite products A[i, j] * x[j]")
+        rows = np.repeat(np.arange(A.nrows), A.row_nnz())
+        sums = np.bincount(rows, weights=mags, minlength=A.nrows)
+    over = np.flatnonzero(sums >= _ROW_SUM_LIMIT)
+    if len(over):
+        raise OverflowError(
+            f"row {int(over[0])}: product magnitudes sum to the overflow limit")
 
 
 class MultContext:
@@ -258,14 +252,9 @@ class MultContext:
                     scheme, block.row_nnz(), cfg.worker_count)
                 self.partition_builds += 1
 
-        self._send_pos = []
-        for lay in self.layouts:
-            pos = {dst: self.plan.send[lay.rank][dst] - lay.own.begin
-                   for dst in self.plan.peers_out(lay.rank)}
-            self._send_pos.append(pos)
         self._ghost = [np.empty(len(lay.ghost_cols)) for lay in self.layouts]
         self._partials = [[None] * lay.own.nrows for lay in self.layouts]
-        self._batons = [_Baton(2 * cfg.worker_count) for _ in range(cfg.nranks)]
+        self._compute_locks = [threading.Lock() for _ in range(cfg.nranks)]
 
         self._x = None
         self._y = None
@@ -294,10 +283,8 @@ class MultContext:
         if not self._threads:
             return
         self._stop = True
-        try:
+        with suppress(threading.BrokenBarrierError):
             self._start.wait(timeout=5.0)
-        except threading.BrokenBarrierError:
-            pass
         for th in self._threads:
             th.join(timeout=5.0)
 
@@ -309,10 +296,8 @@ class MultContext:
         return False
 
     def __del__(self):
-        try:
+        with suppress(Exception):
             self.close()
-        except Exception:
-            pass
 
     # -- public multiply API ----------------------------------------------
 
@@ -320,52 +305,16 @@ class MultContext:
         """Compute y = A x under this context's execution model.
 
         The result is bit-identical to ``spmv_serial(A, x)`` for every
-        model, rank count, and thread count.
+        model, rank count, and thread count. Input with a non-finite
+        product raises ``ValueError``, and a row whose product magnitudes
+        sum to the overflow limit raises ``OverflowError``, for every
+        model and before any thread wakes.
         """
-        return self._multiply(x)
-
-    def mult_phase_timings(self, x):
-        """Multiply and report per-rank phase durations.
-
-        Returns ``(y, timings)`` with one :class:`RankPhaseTimings` per
-        rank, folded from :attr:`events`.
-        """
-        y = self._multiply(x)
-        by_rank = {}
-        for e in self.events:
-            by_rank.setdefault(e.rank, {}).setdefault(e.phase, []).append(e)
-        timings = []
-        for r, phases in sorted(by_rank.items()):
-            span = {p: max(e.end for e in evs) - min(e.begin for e in evs)
-                    for p, evs in phases.items()}
-            timings.append(RankPhaseTimings(
-                r, span.get("post", 0.0), span.get("diag", 0.0),
-                span.get("wait", 0.0), span.get("off", 0.0),
-                [e.end - e.begin for e in phases.get("diag", ())],
-                [e.end - e.begin for e in phases.get("off", ())]))
-        return y, timings
-
-    @property
-    def ownership(self) -> dict:
-        """``{"diag": [...], "off": [...]}`` of ``(rank, thread, lo, hi)``:
-        the nonempty global rows each thread computed in the last multiply."""
-        owned = {"diag": [], "off": []}
-        for e in self.events:
-            if e.lo < e.hi:
-                owned[e.phase].append((e.rank, e.thread, e.lo, e.hi))
-        return owned
-
-    def _multiply(self, x):
         A = self.matrix
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (A.ncols,):
             raise ValueError(f"vector length {x.shape} does not match ncols={A.ncols}")
-        # An infinite product turns the expansion's error terms into NaN,
-        # so the threaded kernels cannot round such a row like the oracle.
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(A.values * x[A.col_indices]).all()
-        if not finite:
-            raise ValueError("input gives non-finite products A[i, j] * x[j]")
+        _check_products(A, x)
         if self.cfg.model == "serial":
             w0 = perf_counter()
             y = spmv_serial(A, x)
@@ -393,6 +342,38 @@ class MultContext:
         finally:
             self._busy.release()
 
+    def mult_phase_timings(self, x):
+        """Multiply and report per-rank phase durations.
+
+        Returns ``(y, timings)`` with one :class:`RankPhaseTimings` per
+        rank, folded from :attr:`events`.
+        """
+        y = self.mat_mult(x)
+        by_rank = {}
+        # a rank's compute events arrive in lock order; list them by thread
+        for e in sorted(self.events, key=lambda e: e.thread):
+            by_rank.setdefault(e.rank, {}).setdefault(e.phase, []).append(e)
+        timings = []
+        for r, phases in sorted(by_rank.items()):
+            span = {p: max(e.end for e in evs) - min(e.begin for e in evs)
+                    for p, evs in phases.items()}
+            timings.append(RankPhaseTimings(
+                r, span.get("post", 0.0), span.get("diag", 0.0),
+                span.get("wait", 0.0), span.get("off", 0.0),
+                [e.end - e.begin for e in phases.get("diag", ())],
+                [e.end - e.begin for e in phases.get("off", ())]))
+        return y, timings
+
+    @property
+    def ownership(self) -> dict:
+        """``{"diag": [...], "off": [...]}`` of ``(rank, thread, lo, hi)``:
+        the nonempty global rows each thread computed in the last multiply."""
+        owned = {"diag": [], "off": []}
+        for e in self.events:
+            if e.lo < e.hi:
+                owned[e.phase].append((e.rank, e.thread, e.lo, e.hi))
+        return owned
+
     # -- worker side --------------------------------------------------------
 
     def _worker_loop(self, r, t):
@@ -416,12 +397,8 @@ class MultContext:
 
     def _panic(self):
         self._broken = True
-        self._start.abort()
-        self._done.abort()
-        for b in self._rank_barriers:
+        for b in (self._start, self._done, *self._rank_barriers):
             b.abort()
-        for baton in self._batons:
-            baton.abort()
         self.fabric.cancel()
 
     def _run(self, r, t):
@@ -434,27 +411,24 @@ class MultContext:
         """
         lay = self.layouts[r]
         barrier = self._rank_barriers[r]
-        baton = self._batons[r]
+        lock = self._compute_locks[r]
         task = self.cfg.model in TASK_MODELS
         worker = t - 1 if task else t
         row_base = lay.own.begin
         x_local = self._x[row_base:lay.own.end]
         if t == 0:
             t0 = perf_counter()
-            recv_handles = self._post_exchange(r, x_local)
+            recv_handles = self._post_exchange(r)
             self.events.append(PhaseEvent("post", r, 0, t0, perf_counter()))
             if task:
                 self._wait_and_unpack(r, recv_handles)
         if worker >= 0:
             lo, hi = self.partitions[(r, "diag")].rows(worker)
-            baton.acquire(worker)
-            try:
+            with lock:
                 t0 = perf_counter()
                 start_rows(lay.diag_block, lo, hi, x_local, self._partials[r])
                 self.events.append(PhaseEvent("diag", r, t, t0, perf_counter(),
                                               row_base + lo, row_base + hi))
-            finally:
-                baton.release()
         barrier.wait()
         if not task:
             if t == 0:
@@ -462,22 +436,19 @@ class MultContext:
             barrier.wait()
         if worker >= 0:
             lo, hi = self.partitions[(r, "off")].rows(worker)
-            baton.acquire(self.cfg.worker_count + worker)
-            try:
+            with lock:
                 t0 = perf_counter()
                 finish_rows(lay.off_block, lo, hi, self._ghost[r],
                             self._partials[r], self._y, row_base)
                 self.events.append(PhaseEvent("off", r, t, t0, perf_counter(),
                                               row_base + lo, row_base + hi))
-            finally:
-                baton.release()
 
-    def _post_exchange(self, r, x_local):
+    def _post_exchange(self, r):
         plan, fab = self.plan, self.fabric
         handles = [fab.post_recv(r, src, len(plan.recv[r][src]))
                    for src in plan.peers_in(r)]
         for dst in plan.peers_out(r):
-            fab.post_send(r, dst, x_local[self._send_pos[r][dst]])
+            fab.post_send(r, dst, self._x[plan.send[r][dst]])
         return handles
 
     def _wait_and_unpack(self, r, recv_handles):

@@ -2,9 +2,10 @@
 
 Ranks here are threads inside one process, not separate machines; this
 module is the desk-scale stand-in for a real interconnect. Payloads move
-through per-(src, dst, tag) FIFO mailboxes, so delivery between a fixed
+through one FIFO mailbox per (src, dst) pair, so delivery between a fixed
 pair is always in post order, and a configurable affine latency model
-charges ``per_message_s + per_element_s * len`` for each message.
+charges ``per_message_s + per_element_s * len`` for each message. Sends
+complete at post time and return nothing; only receives have handles.
 
 The key semantic is the progress mode. In ``"active"`` mode (the
 default), a message's latency elapses inside the *receiver's*
@@ -55,25 +56,20 @@ class LatencyModel:
 
 
 class MessageHandle:
-    """Opaque token for one posted send or receive; completes at most once."""
+    """Opaque token for one posted receive; completes at most once."""
 
-    __slots__ = ("fabric", "kind", "src", "dst", "tag", "expected_len",
-                 "completed", "payload")
+    __slots__ = ("fabric", "src", "dst", "expected_len", "completed")
 
-    def __init__(self, fabric, kind, src, dst, tag, expected_len):
+    def __init__(self, fabric, src, dst, expected_len):
         self.fabric = fabric
-        self.kind = kind
         self.src = src
         self.dst = dst
-        self.tag = tag
         self.expected_len = expected_len
-        self.completed = kind == "send"
-        self.payload = None
+        self.completed = False
 
     def __repr__(self):
         state = "done" if self.completed else "pending"
-        return (f"MessageHandle({self.kind} {self.src}->{self.dst} "
-                f"tag={self.tag}, {state})")
+        return f"MessageHandle({self.src}->{self.dst}, {state})"
 
 
 class Fabric:
@@ -86,15 +82,15 @@ class Fabric:
         self.model = model if model is not None else LatencyModel()
         self._lock = threading.Lock()
         self._arrived = threading.Condition(self._lock)
-        self._queues: dict[tuple[int, int, int], deque] = {}
+        self._queues: dict[tuple[int, int], deque] = {}
         self._cancelled = False
 
     def _check_rank(self, rank: int, what: str) -> None:
         if not 0 <= rank < self.nranks:
             raise ValueError(f"{what} rank {rank} outside [0, {self.nranks})")
 
-    def post_send(self, src: int, dst: int, payload, tag: int = 0) -> MessageHandle:
-        """Buffer a message for delivery; returns an already-complete handle.
+    def post_send(self, src: int, dst: int, payload) -> None:
+        """Buffer a message for delivery on (src, dst).
 
         The payload is copied at post time, so the caller may reuse its
         buffer immediately.
@@ -104,16 +100,15 @@ class Fabric:
         data = np.array(payload, dtype=np.float64, copy=True)
         data.flags.writeable = False
         with self._arrived:
-            q = self._queues.setdefault((src, dst, tag), deque())
+            q = self._queues.setdefault((src, dst), deque())
             q.append((data, time.perf_counter()))
             self._arrived.notify_all()
-        return MessageHandle(self, "send", src, dst, tag, len(data))
 
-    def post_recv(self, dst: int, src: int, expected_len: int, tag: int = 0) -> MessageHandle:
-        """Register interest in the next message on (src, dst, tag)."""
+    def post_recv(self, dst: int, src: int, expected_len: int) -> MessageHandle:
+        """Register interest in the next message on (src, dst)."""
         self._check_rank(src, "source")
         self._check_rank(dst, "destination")
-        return MessageHandle(self, "recv", src, dst, tag, expected_len)
+        return MessageHandle(self, src, dst, expected_len)
 
     def cancel(self) -> None:
         """Fail every blocked and every later ``wait_all`` call.
@@ -127,7 +122,7 @@ class Fabric:
             self._arrived.notify_all()
 
     def wait_all(self, handles) -> list[np.ndarray]:
-        """Complete the given handles, returning receive payloads in order.
+        """Complete the given receive handles, returning payloads in order.
 
         In ``"active"`` progress mode this call is where transfer time is
         spent: each receive blocks until its message is posted, then pays
@@ -140,23 +135,20 @@ class Fabric:
         for h in handles:
             if h.fabric is not self:
                 raise ValueError("handle belongs to a different fabric")
-            if h.kind == "send":
-                continue
             if h.completed:
                 raise ValueError(f"handle already completed: {h!r}")
-            key = (h.src, h.dst, h.tag)
+            key = (h.src, h.dst)
             with self._arrived:
                 while not self._cancelled and not self._queues.get(key):
                     self._arrived.wait()
                 if self._cancelled:
                     raise RuntimeError(
-                        f"fabric cancelled while waiting on {h.src}->{h.dst} "
-                        f"tag={h.tag}")
+                        f"fabric cancelled while waiting on {h.src}->{h.dst}")
                 data, posted = self._queues[key].popleft()
             if len(data) != h.expected_len:
                 raise ValueError(
-                    f"message {h.src}->{h.dst} tag={h.tag} has {len(data)} "
-                    f"elements, receiver expected {h.expected_len}")
+                    f"message {h.src}->{h.dst} has {len(data)} elements, "
+                    f"receiver expected {h.expected_len}")
             cost = self.model.delay(len(data))
             if self.model.progress == "active":
                 if cost > 0:
@@ -165,7 +157,6 @@ class Fabric:
                 remaining = posted + cost - time.perf_counter()
                 if remaining > 0:
                     time.sleep(remaining)
-            h.payload = data
             h.completed = True
             payloads.append(data)
         return payloads

@@ -70,7 +70,8 @@ def _ranked_dot(u: np.ndarray, v: np.ndarray, ranges) -> float:
     """Dot product reduced from per-rank partials in ascending rank order."""
     total = 0.0
     for rr in ranges:
-        total += float(np.dot(u[rr.begin:rr.end], v[rr.begin:rr.end]))
+        # not np.dot: BLAS may wake helper threads that spin between calls
+        total += float((u[rr.begin:rr.end] * v[rr.begin:rr.end]).sum())
     return total
 
 

@@ -45,9 +45,6 @@ class RowRange:
     def nrows(self) -> int:
         return self.end - self.begin
 
-    def __contains__(self, row: int) -> bool:
-        return self.begin <= row < self.end
-
 
 @dataclass(frozen=True)
 class RankLayout:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spmvlab import (BenchRecord, CSV_HEADER, ExecConfig, csr_from_triplets,
-                     extruded_laplacian, read_matrix_market)
+                     extruded_laplacian, read_matrix_market, write_matrix_market)
 from spmvlab.bench import (append_record, find_baseline, format_partition_stats,
                            load_records, partition_stats, run_cg_benchmark,
                            run_spmv_benchmark, with_efficiency)
@@ -181,6 +181,15 @@ def test_cli_gen_rejects_zero_dimension(tmp_path, capsys):
 def test_cli_missing_file(tmp_path, capsys):
     rc = main(["spmv", str(tmp_path / "absent.mtx")])
     assert rc == 2
+
+
+def test_cli_overflowing_row_is_a_structural_error(tmp_path, capsys):
+    huge = [(0, j, 1.7e308) for j in range(8)] + [(i, i, 1.0) for i in range(1, 8)]
+    mtx = tmp_path / "huge.mtx"
+    mtx.write_text(write_matrix_market(csr_from_triplets(huge, 8, 8)))
+    for model in ("serial", "vector"):
+        assert main(["spmv", str(mtx), "--model", model, "--ranks", "2"]) == 2
+        assert "overflow limit" in capsys.readouterr().err
 
 
 def test_cli_cg(tmp_path, capsys):

@@ -9,6 +9,7 @@ from spmvlab import (ExecConfig, Fabric, LatencyModel, MODELS, balance_stats,
                      create_context, create_fabric, csr_from_triplets,
                      extruded_laplacian, spmv_serial)
 from spmvlab.engine import MAX_THREADS
+from spmvlab.exact import start_rows
 
 from helpers import identity_csr, random_spd_csr, tridiagonal
 
@@ -285,11 +286,11 @@ class _FailingSendFabric(Fabric):
     """Fabric whose sends from rank 1 fail, as a crashed peer would, late
     enough that rank 0 is already blocked waiting for them."""
 
-    def post_send(self, src, dst, payload, tag=0):
+    def post_send(self, src, dst, payload):
         if src == 1:
             time.sleep(0.05)
             raise RuntimeError("injected send failure")
-        return super().post_send(src, dst, payload, tag)
+        super().post_send(src, dst, payload)
 
 
 @pytest.mark.parametrize("model,threads", [("task", 2), ("vector", 1)])
@@ -320,6 +321,41 @@ def test_non_finite_input_rejected_before_multiply():
                 ctx.mat_mult(np.array([1e200, 1.0]))
             x = np.array([1e100, 1.0])
             assert ctx.mat_mult(x).tobytes() == spmv_serial(big, x).tobytes()
+
+
+def test_row_sum_overflow_rejected_before_multiply():
+    # finite products whose row sums overflow: the oracle raises, and the
+    # threaded kernels' running sums turn into inf - inf
+    big = csr_from_triplets([(0, 0, 1e308), (0, 1, 1e308), (1, 1, 1.0)], 2, 2)
+    # MAX + 0.625 ulp rounds up to inf, but adding the two small entries
+    # to MAX one at a time rounds down to MAX both times
+    top, small = np.finfo(np.float64).max, 1.25 * 2.0**969
+    edge = csr_from_triplets([(0, 0, top), (0, 1, small), (0, 2, small),
+                              (1, 1, 1.0), (2, 2, 1.0)], 3, 3)
+    for model in MODELS:
+        for A in (big, edge):
+            with create_context(A, ExecConfig(model, 2, 2)) as ctx:
+                with pytest.raises(OverflowError, match="row 0"):
+                    ctx.mat_mult(np.ones(A.ncols))
+                assert ctx.events == []  # no thread ran
+                x = np.full(A.ncols, 0.5)
+                assert ctx.mat_mult(x).tobytes() == spmv_serial(A, x).tobytes()
+
+
+def test_kernel_failure_releases_every_thread(monkeypatch):
+    def failing_start_rows(*args):
+        if threading.current_thread().name == "spmv-r1t1":
+            raise RuntimeError("injected kernel failure")
+        start_rows(*args)
+    monkeypatch.setattr("spmvlab.engine.start_rows", failing_start_rows)
+    A = extruded_laplacian(6, 6, 6)
+    ctx = create_context(A, ExecConfig("vector", 2, 3))
+    with pytest.raises(RuntimeError, match="injected kernel failure"):
+        ctx.mat_mult(np.ones(A.ncols))
+    t0 = time.perf_counter()
+    ctx.close()
+    assert time.perf_counter() - t0 < 1.0
+    assert not any(th.is_alive() for th in ctx._threads)
 
 
 class _GatedFabric(Fabric):
@@ -374,11 +410,12 @@ def test_phase_events_of_one_multiply(model):
         mine = [e for e in events if e.rank == tm.rank]
         for phase, span, threads in (("diag", tm.diag_s, tm.diag_thread_s),
                                      ("off", tm.off_diag_s, tm.off_thread_s)):
-            compute = [e for e in mine if e.phase == phase]
-            # baton order: each worker starts after the previous one ends
-            assert all(a.end <= b.begin and a.thread < b.thread
-                       for a, b in zip(compute, compute[1:]))
-            assert threads == [e.end - e.begin for e in compute]
+            compute = sorted((e for e in mine if e.phase == phase),
+                             key=lambda e: e.begin)
+            # one rank's kernels run one at a time under its lock
+            assert all(a.end <= b.begin for a, b in zip(compute, compute[1:]))
+            by_thread = sorted(compute, key=lambda e: e.thread)
+            assert threads == [e.end - e.begin for e in by_thread]
             assert span == compute[-1].end - compute[0].begin
             assert len(compute) == (1 if model == "serial" else cfg.worker_count)
         if model != "serial":

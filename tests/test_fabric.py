@@ -22,8 +22,8 @@ def test_latency_model_validation():
 
 def test_self_send_completes_immediately():
     fab = create_fabric(1)
-    fab.post_send(0, 0, [1.0, 2.0], tag=7)
-    h = fab.post_recv(0, 0, 2, tag=7)
+    fab.post_send(0, 0, [1.0, 2.0])
+    h = fab.post_recv(0, 0, 2)
     t0 = time.perf_counter()
     (payload,) = fab.wait_all([h])
     assert time.perf_counter() - t0 < 0.05
@@ -37,20 +37,21 @@ def test_transport_fidelity_thousand_messages():
     for k in range(1000):
         src, dst = int(rng.integers(0, 4)), int(rng.integers(0, 4))
         data = rng.uniform(-1e6, 1e6, int(rng.integers(1, 20)))
-        fab.post_send(src, dst, data, tag=k)
-        sent.append((src, dst, k, data))
-    for src, dst, tag, data in sent:
-        h = fab.post_recv(dst, src, len(data), tag=tag)
+        fab.post_send(src, dst, data)
+        sent.append((src, dst, data))
+    # receiving in post order takes each pair's messages in FIFO order
+    for src, dst, data in sent:
+        h = fab.post_recv(dst, src, len(data))
         (out,) = fab.wait_all([h])
         assert out.tobytes() == data.tobytes()
 
 
-def test_pairwise_ordering_per_tag():
+def test_pairwise_ordering_per_pair():
     fab = create_fabric(2)
-    fab.post_send(0, 1, [1.0], tag=0)
-    fab.post_send(0, 1, [2.0], tag=0)
-    ha = fab.post_recv(1, 0, 1, tag=0)
-    hb = fab.post_recv(1, 0, 1, tag=0)
+    assert fab.post_send(0, 1, [1.0]) is None
+    fab.post_send(0, 1, [2.0])
+    ha = fab.post_recv(1, 0, 1)
+    hb = fab.post_recv(1, 0, 1)
     a, b = fab.wait_all([ha, hb])
     assert a.tolist() == [1.0]
     assert b.tolist() == [2.0]
@@ -77,9 +78,9 @@ def test_active_wait_serializes_receive_latency():
     # two receives of 10 elements at (1 ms, 0.1 ms/elem) cost >= 4 ms total
     fab = Fabric(2, LatencyModel(per_message_s=1e-3, per_element_s=1e-4))
     data = np.arange(10.0)
-    fab.post_send(0, 1, data, tag=0)
-    fab.post_send(0, 1, data, tag=1)
-    handles = [fab.post_recv(1, 0, 10, tag=0), fab.post_recv(1, 0, 10, tag=1)]
+    fab.post_send(0, 1, data)
+    fab.post_send(0, 1, data)
+    handles = [fab.post_recv(1, 0, 10), fab.post_recv(1, 0, 10)]
     t0 = time.perf_counter()
     fab.wait_all(handles)
     assert time.perf_counter() - t0 >= 2 * (1e-3 + 10 * 1e-4)
@@ -181,14 +182,6 @@ def test_rank_bounds_checked():
         fab.post_recv(-1, 0, 1)
     with pytest.raises(ValueError):
         Fabric(0)
-
-
-def test_send_handles_are_noop_in_wait():
-    fab = create_fabric(2)
-    hs = fab.post_send(0, 1, [1.0])
-    hr = fab.post_recv(1, 0, 1)
-    payloads = fab.wait_all([hs, hr])
-    assert len(payloads) == 1
 
 
 def test_cancel_wakes_blocked_and_later_waits():

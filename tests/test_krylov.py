@@ -1,3 +1,7 @@
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,8 @@ from spmvlab import (CgBreakdownError, ExecConfig, MODELS,
                      SingularPreconditionerError, cg_solve, create_context,
                      csr_from_triplets, extruded_laplacian, jacobi_apply,
                      spmv_serial)
-from spmvlab.krylov import DEFAULT_RTOL, MAX_ITERATIONS
+from spmvlab.krylov import DEFAULT_RTOL, MAX_ITERATIONS, _ranked_dot
+from spmvlab.layout import decompose_rows
 
 from helpers import identity_csr, random_spd_csr, reference_cg_jacobi
 
@@ -150,3 +155,35 @@ def test_rhs_length_checked():
             cg_solve(ctx, np.ones(4))
         with pytest.raises(ValueError, match="non-finite"):
             cg_solve(ctx, np.array([1.0, np.nan, 0.0]))
+
+
+def _other_threads_cpu_s():
+    """CPU seconds used so far by this process's threads other than the
+    calling one, from ``/proc/self/task``."""
+    me = threading.get_native_id()
+    ticks = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) == me:
+            continue
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as f:
+                fields = f.read().rsplit(")", 1)[1].split()
+        except OSError:  # the thread exited meanwhile
+            continue
+        ticks += int(fields[11]) + int(fields[12])  # utime + stime
+    return ticks / os.sysconf("SC_CLK_TCK")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="per-thread CPU times need /proc")
+def test_ranked_dot_leaves_other_threads_idle():
+    # a BLAS dot may wake helper threads that spin after every call; with
+    # a solve's gaps between dots they would burn a core the multiply needs
+    u, v = np.random.default_rng(9).uniform(-1, 1, (2, 32768))
+    ranges = decompose_rows(len(u), 1)
+    time.sleep(0.2)
+    before = _other_threads_cpu_s()
+    for _ in range(200):
+        _ranked_dot(u, v, ranges)
+        time.sleep(0.003)
+    assert _other_threads_cpu_s() - before < 0.05
