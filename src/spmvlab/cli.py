@@ -125,9 +125,8 @@ def _cmd_cg(args) -> int:
 
 def _cmd_partition_stats(args) -> int:
     A = read_matrix_market(args.matrix)
-    schemes = args.scheme if args.scheme else None
     rows = partition_stats(A, args.threads, nranks=args.ranks,
-                           **({"schemes": schemes} if schemes else {}))
+                           schemes=args.scheme or PARTITION_SCHEMES)
     print(format_partition_stats(rows), end="")
     return EXIT_OK
 

@@ -38,17 +38,18 @@ compute for real; during a multiply the interpreter switch interval is
 narrowed so a woken waiter does not stall behind a compute thread's full
 default time slice.
 
-Thread partitions are computed once at context creation and cached with
-the context, keyed by rank and block (``"diag"`` or ``"off"``); repeat
-multiplies reuse them. Thread placement is left to the host scheduler
-(no pinning, no memory-domain control at desk scale).
+Each multiply is one fork-join region, as an OpenMP ``MatMult`` is: its
+threads start and end inside ``mat_mult``. Thread partitions are computed
+once at context creation and cached with the context, keyed by rank and
+block (``"diag"`` or ``"off"``). Thread placement is left to the host
+scheduler (no pinning, no memory-domain control at desk scale).
 """
 
 from __future__ import annotations
 
 import sys
 import threading
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import NamedTuple
@@ -56,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .balance import scheme_partition
-from .exact import finish_rows, start_rows
+from .exact import check_products, finish_rows, start_rows
 from .fabric import Fabric, create_fabric
 from .layout import build_all_layouts, build_scatter_plan, decompose_rows
 from .sparse import CsrMatrix, spmv_serial
@@ -179,37 +180,13 @@ def _narrow_switch_interval():
                 sys.setswitchinterval(_switch_saved)
 
 
-# A row whose product magnitudes sum to this may overflow a running sum;
-# the margin below the largest double covers the check's own rounding.
-_ROW_SUM_LIMIT = np.finfo(np.float64).max * (1 - 2.0**-20)
-
-
-def _check_products(A: CsrMatrix, x: np.ndarray) -> None:
-    """Raise ``ValueError`` for a non-finite product ``A[i, j] * x[j]`` and
-    ``OverflowError`` for a row whose magnitudes sum to ``_ROW_SUM_LIMIT``.
-    The common case is one sum over all the magnitudes."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        mags = A.values * x[A.col_indices]
-        np.abs(mags, out=mags)
-        if mags.sum() < _ROW_SUM_LIMIT:
-            return
-        if not np.isfinite(mags).all():
-            raise ValueError("input gives non-finite products A[i, j] * x[j]")
-        rows = np.repeat(np.arange(A.nrows), A.row_nnz())
-        sums = np.bincount(rows, weights=mags, minlength=A.nrows)
-    over = np.flatnonzero(sums >= _ROW_SUM_LIMIT)
-    if len(over):
-        raise OverflowError(
-            f"row {int(over[0])}: product magnitudes sum to the overflow limit")
-
-
 class MultContext:
-    """Precomputed layouts, scatter plan, partitions, and worker threads.
+    """Precomputed layouts, scatter plan, and partitions.
 
-    Create through :func:`create_context`. A context owns one long-lived
-    thread team per rank; call :meth:`close` (or use the context manager
-    form) when done. Only one multiply may be in flight at a time.
-    ``events`` holds the :class:`PhaseEvent` list of the last multiply.
+    Create through :func:`create_context`. A context holds no thread, and
+    :meth:`close` (or the context manager form) only marks it closed.
+    Only one multiply may be in flight at a time. ``events`` holds the
+    :class:`PhaseEvent` list of the last multiply.
     """
 
     def __init__(self, A: CsrMatrix, cfg: ExecConfig, fabric: Fabric | None = None):
@@ -232,14 +209,11 @@ class MultContext:
         if distributed and A.nrows != A.ncols:
             raise ValueError(
                 f"distributed models need a square matrix, got {A.nrows}x{A.ncols}")
+        self.layouts = self.plan = None
         if A.nrows == A.ncols:
             self.layouts = build_all_layouts(A, self.ranges)
             self.plan = build_scatter_plan(self.layouts)
-        else:
-            self.layouts = None
-            self.plan = None
 
-        self._threads: list[threading.Thread] = []
         self._closed = False
         self._broken = False
         if not distributed:
@@ -255,38 +229,15 @@ class MultContext:
         self._ghost = [np.empty(len(lay.ghost_cols)) for lay in self.layouts]
         self._partials = [[None] * lay.own.nrows for lay in self.layouts]
         self._compute_locks = [threading.Lock() for _ in range(cfg.nranks)]
-
-        self._x = None
-        self._y = None
-        self._stop = False
-        self._errors: list[BaseException] = []
         self._busy = threading.Lock()
-        total = cfg.nranks * cfg.threads_per_rank
-        self._start = threading.Barrier(total + 1)
-        self._done = threading.Barrier(total + 1)
         self._rank_barriers = [threading.Barrier(cfg.threads_per_rank)
                                for _ in range(cfg.nranks)]
-        for r in range(cfg.nranks):
-            for t in range(cfg.threads_per_rank):
-                th = threading.Thread(target=self._worker_loop, args=(r, t),
-                                      name=f"spmv-r{r}t{t}", daemon=True)
-                th.start()
-                self._threads.append(th)
 
     # -- lifecycle -------------------------------------------------------
 
     def close(self):
-        """Stop and join the worker threads. Idempotent."""
-        if self._closed:
-            return
+        """Mark the context closed; later multiplies raise. Idempotent."""
         self._closed = True
-        if not self._threads:
-            return
-        self._stop = True
-        with suppress(threading.BrokenBarrierError):
-            self._start.wait(timeout=5.0)
-        for th in self._threads:
-            th.join(timeout=5.0)
 
     def __enter__(self):
         return self
@@ -294,10 +245,6 @@ class MultContext:
     def __exit__(self, *exc):
         self.close()
         return False
-
-    def __del__(self):
-        with suppress(Exception):
-            self.close()
 
     # -- public multiply API ----------------------------------------------
 
@@ -308,13 +255,15 @@ class MultContext:
         model, rank count, and thread count. Input with a non-finite
         product raises ``ValueError``, and a row whose product magnitudes
         sum to the overflow limit raises ``OverflowError``, for every
-        model and before any thread wakes.
+        model and before any thread starts. No thread outlives the call.
         """
+        if self._closed or self._broken:
+            raise RuntimeError("context is closed or broken")
         A = self.matrix
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (A.ncols,):
             raise ValueError(f"vector length {x.shape} does not match ncols={A.ncols}")
-        _check_products(A, x)
+        check_products([(A, x)])
         if self.cfg.model == "serial":
             w0 = perf_counter()
             y = spmv_serial(A, x)
@@ -322,23 +271,37 @@ class MultContext:
             self.events = [PhaseEvent("diag", 0, 0, w0, w1, 0, A.nrows),
                            PhaseEvent("off", 0, 0, w1, w1, 0, A.nrows)]
             return y
-        if self._closed or self._broken:
-            raise RuntimeError("context is closed or broken")
         if not self._busy.acquire(blocking=False):
             raise RuntimeError("a multiply is already in flight on this context")
+        y = np.empty(A.nrows)
+        self.events = []
+        errors = []  # the first is raised; each one releases every thread
+
+        def work(r, t):
+            try:
+                self._run(r, t, x, y)
+            except BaseException as e:
+                errors.append(e)
+                self._panic()
+
+        threads = [threading.Thread(target=work, args=(r, t), name=f"spmv-r{r}t{t}")
+                   for r in range(self.cfg.nranks)
+                   for t in range(self.cfg.threads_per_rank)]
         try:
-            self._x = x
-            self._y = np.empty(A.nrows)
-            self.events = []
             with _narrow_switch_interval():
-                self._start.wait()
-                self._done.wait()
-            return self._y
-        except threading.BrokenBarrierError:
-            self._broken = True
-            if self._errors:
-                raise self._errors[0] from None
-            raise RuntimeError("worker thread failed during multiply") from None
+                try:
+                    for th in threads:
+                        th.start()
+                except BaseException as e:
+                    errors.append(e)
+                    self._panic()
+                for th in threads:
+                    if th.is_alive():
+                        th.join()
+            if errors:
+                self._broken = True
+                raise errors[0]
+            return y
         finally:
             self._busy.release()
 
@@ -376,32 +339,12 @@ class MultContext:
 
     # -- worker side --------------------------------------------------------
 
-    def _worker_loop(self, r, t):
-        while True:
-            try:
-                self._start.wait()
-            except threading.BrokenBarrierError:
-                return
-            if self._stop:
-                return
-            try:
-                self._run(r, t)
-            except BaseException as e:  # surface worker failures to the caller
-                self._errors.append(e)
-                self._panic()
-                return
-            try:
-                self._done.wait()
-            except threading.BrokenBarrierError:
-                return
-
     def _panic(self):
-        self._broken = True
-        for b in (self._start, self._done, *self._rank_barriers):
+        for b in self._rank_barriers:
             b.abort()
         self.fabric.cancel()
 
-    def _run(self, r, t):
+    def _run(self, r, t, x, y):
         """Thread ``t``'s share of one multiply on rank ``r``.
 
         Thread 0 posts the ghost exchange. Under ``task`` it then waits at
@@ -415,10 +358,10 @@ class MultContext:
         task = self.cfg.model in TASK_MODELS
         worker = t - 1 if task else t
         row_base = lay.own.begin
-        x_local = self._x[row_base:lay.own.end]
+        x_local = x[row_base:lay.own.end]
         if t == 0:
             t0 = perf_counter()
-            recv_handles = self._post_exchange(r)
+            recv_handles = self._post_exchange(r, x)
             self.events.append(PhaseEvent("post", r, 0, t0, perf_counter()))
             if task:
                 self._wait_and_unpack(r, recv_handles)
@@ -439,16 +382,16 @@ class MultContext:
             with lock:
                 t0 = perf_counter()
                 finish_rows(lay.off_block, lo, hi, self._ghost[r],
-                            self._partials[r], self._y, row_base)
+                            self._partials[r], y, row_base)
                 self.events.append(PhaseEvent("off", r, t, t0, perf_counter(),
                                               row_base + lo, row_base + hi))
 
-    def _post_exchange(self, r):
+    def _post_exchange(self, r, x):
         plan, fab = self.plan, self.fabric
         handles = [fab.post_recv(r, src, len(plan.recv[r][src]))
                    for src in plan.peers_in(r)]
         for dst in plan.peers_out(r):
-            fab.post_send(r, dst, self._x[plan.send[r][dst]])
+            fab.post_send(r, dst, x[plan.send[r][dst]])
         return handles
 
     def _wait_and_unpack(self, r, recv_handles):
@@ -462,7 +405,7 @@ class MultContext:
 
 def create_context(A: CsrMatrix, cfg: ExecConfig,
                    fabric: Fabric | None = None) -> MultContext:
-    """Build a multiply context: decomposition, scatter plan, partitions,
-    and (for threaded models) the long-lived worker thread teams."""
+    """Build a multiply context: decomposition, scatter plan and, for
+    threaded models, thread partitions. No thread starts here."""
     return MultContext(A, cfg, fabric)
 

@@ -15,12 +15,19 @@ The two phases of the row sum live here and serve both the threaded
 engine and the sequential ``layout.two_phase_multiply``:
 ``start_rows`` starts each row's expansion from its diagonal-block
 products, and ``finish_rows`` folds in the off-diagonal products and
-rounds each row once.
+rounds each row once. Both run ``check_products`` first, since the
+running sums stay exact only while no row's products can overflow.
 """
 
 from math import fsum
 
-__all__ = ["extend", "start_rows", "finish_rows"]
+import numpy as np
+
+__all__ = ["extend", "start_rows", "finish_rows", "check_products"]
+
+# A row whose product magnitudes sum to this may overflow a running sum;
+# the margin below the largest double covers the check's own rounding.
+_ROW_SUM_LIMIT = np.finfo(np.float64).max * (1 - 2.0**-20)
 
 
 def extend(partials: list[float], values) -> list[float]:
@@ -70,3 +77,27 @@ def finish_rows(block, lo, hi, ghost, partials, y, row_base):
         pl = partials[lo + i]
         extend(pl, prods[offlist[i]:offlist[i + 1]])
         y[row_base + lo + i] = fsum(pl)
+
+
+def check_products(pieces, row_base=0):
+    """Raise ``ValueError`` for a non-finite product ``A[i, j] * x[j]`` and
+    ``OverflowError`` for a row whose magnitudes sum to ``_ROW_SUM_LIMIT``.
+
+    ``pieces`` are ``(block, vector)`` pairs that together hold whole rows
+    ``row_base + i``; the common case is one sum over all the magnitudes.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mags = [block.values * v[block.col_indices] for block, v in pieces]
+        for m in mags:
+            np.abs(m, out=m)
+        if sum(m.sum() for m in mags) < _ROW_SUM_LIMIT:
+            return
+        if not all(np.isfinite(m).all() for m in mags):
+            raise ValueError("input gives non-finite products A[i, j] * x[j]")
+        sums = sum(np.bincount(np.repeat(np.arange(b.nrows), b.row_nnz()),
+                               weights=m, minlength=b.nrows)
+                   for (b, _), m in zip(pieces, mags))
+    over = np.flatnonzero(sums >= _ROW_SUM_LIMIT)
+    if len(over):
+        raise OverflowError(f"row {row_base + int(over[0])}: "
+                            "product magnitudes sum to the overflow limit")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balance import equal_rows_partition, greedy_partition
-from .exact import finish_rows, start_rows
+from .exact import check_products, finish_rows, start_rows
 from .sparse import CsrMatrix
 
 __all__ = [
@@ -219,14 +219,16 @@ def two_phase_multiply(layouts, plan: ScatterPlan, x: np.ndarray) -> np.ndarray:
     Each rank's rows run through the engine's two kernels, ``start_rows``
     on the diagonal block and then, once ``fill_ghost`` has gathered the
     ghost values per the scatter plan, ``finish_rows`` on the off-diagonal
-    block. Because row sums are exactly rounded, the concatenated per-rank
-    results equal ``spmv_serial`` of the reassembled matrix bit for bit.
+    block, after the engine's input check. Row sums are exactly rounded,
+    so the per-rank results equal ``spmv_serial`` bit for bit.
     """
-    n = layouts[-1].own.end
-    y = np.empty(n)
-    for lay in layouts:
-        ghost = np.empty(len(lay.ghost_cols))
+    y = np.empty(layouts[-1].own.end)
+    ghosts = [np.empty(len(lay.ghost_cols)) for lay in layouts]
+    for lay, ghost in zip(layouts, ghosts):
         fill_ghost(plan, lay.rank, x, ghost)
+        check_products([(lay.diag_block, x[lay.own.begin:lay.own.end]),
+                        (lay.off_block, ghost)], lay.own.begin)
+    for lay, ghost in zip(layouts, ghosts):
         nrows = lay.own.nrows
         partials = [None] * nrows
         start_rows(lay.diag_block, 0, nrows, x[lay.own.begin:lay.own.end], partials)

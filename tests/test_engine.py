@@ -16,6 +16,10 @@ from helpers import identity_csr, random_spd_csr, tridiagonal
 THREADED = [m for m in MODELS if m != "serial"]
 
 
+def _spmv_threads():
+    return [th.name for th in threading.enumerate() if th.name.startswith("spmv-")]
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="unknown model"):
         ExecConfig("turbo")
@@ -188,14 +192,34 @@ def test_weighted_decomposition_shifts_cut():
     assert heavy.ranges[0].nrows < 4
 
 
-def test_context_close_and_reuse_error():
+@pytest.mark.parametrize("model", MODELS)
+def test_context_close_and_reuse_error(model):
     A = tridiagonal(4)
-    ctx = create_context(A, ExecConfig("task", 2, 2))
+    ctx = create_context(A, ExecConfig(model, 2, 2))
     ctx.mat_mult(np.ones(4))
     ctx.close()
     with pytest.raises(RuntimeError, match="closed"):
         ctx.mat_mult(np.ones(4))
     ctx.close()  # idempotent
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_multiply_threads_end_with_the_multiply(model, monkeypatch):
+    A = extruded_laplacian(4, 4, 4)
+    x = np.ones(A.ncols)
+    ctx = create_context(A, ExecConfig(model, 2, 2))
+    assert _spmv_threads() == []
+    assert ctx.mat_mult(x).tobytes() == spmv_serial(A, x).tobytes()
+    assert _spmv_threads() == []
+
+    def failing(*args):
+        raise RuntimeError("injected kernel failure")
+    monkeypatch.setattr("spmvlab.engine.start_rows", failing)
+    monkeypatch.setattr("spmvlab.engine.spmv_serial", failing)
+    with pytest.raises(RuntimeError, match="injected kernel failure"):
+        ctx.mat_mult(x)
+    assert _spmv_threads() == []
+    ctx.close()
 
 
 def test_fabric_endpoint_count_checked():
@@ -302,7 +326,7 @@ def test_peer_failure_releases_every_thread(model, threads):
     t0 = time.perf_counter()
     ctx.close()
     assert time.perf_counter() - t0 < 1.0
-    assert not any(th.is_alive() for th in ctx._threads)
+    assert _spmv_threads() == []
 
 
 def test_non_finite_input_rejected_before_multiply():
@@ -355,7 +379,24 @@ def test_kernel_failure_releases_every_thread(monkeypatch):
     t0 = time.perf_counter()
     ctx.close()
     assert time.perf_counter() - t0 < 1.0
-    assert not any(th.is_alive() for th in ctx._threads)
+    assert _spmv_threads() == []
+
+
+def test_thread_start_failure_releases_started_threads(monkeypatch):
+    start = threading.Thread.start
+
+    def failing_start(self):
+        if self.name == "spmv-r1t0":
+            raise RuntimeError("can't start new thread")
+        start(self)
+    monkeypatch.setattr(threading.Thread, "start", failing_start)
+    A = extruded_laplacian(6, 6, 6)
+    ctx = create_context(A, ExecConfig("vector", 2, 2))
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="can't start"):
+        ctx.mat_mult(np.ones(A.ncols))
+    assert time.perf_counter() - t0 < 1.0
+    assert _spmv_threads() == []
 
 
 class _GatedFabric(Fabric):

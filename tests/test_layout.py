@@ -164,6 +164,23 @@ def test_two_phase_identity_bitwise():
         assert y.tobytes() == spmv_serial(A, x).tobytes()
 
 
+def test_two_phase_rejects_what_the_engine_rejects():
+    # non-finite product A[0, 0] * x[0]; finite products whose row sum
+    # overflows, on either rank, named by global row
+    inf_product = csr_from_triplets([(0, 0, 1e200), (0, 1, 1.0), (1, 0, 1.0),
+                                     (1, 1, 1.0)], 2, 2)
+    row0 = csr_from_triplets([(0, 0, 1e308), (0, 1, 1e308), (1, 1, 1.0)], 2, 2)
+    row1 = csr_from_triplets([(0, 0, 1.0), (1, 0, 1e308), (1, 1, 1e308)], 2, 2)
+    cases = [(inf_product, [1e200, 1.0], ValueError, "non-finite"),
+             (row0, [1.0, 1.0], OverflowError, "row 0"),
+             (row1, [1.0, 1.0], OverflowError, "row 1")]
+    for A, x, error, match in cases:
+        layouts = build_all_layouts(A, decompose_rows(2, 2))
+        plan = build_scatter_plan(layouts)
+        with pytest.raises(error, match=match):
+            two_phase_multiply(layouts, plan, np.array(x))
+
+
 def test_fill_ghost_matches_direct_gather():
     A = tridiagonal(10)
     layouts = build_all_layouts(A, decompose_rows(10, 3))
