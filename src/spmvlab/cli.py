@@ -163,8 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker count to partition for (default: 4)")
     p.add_argument("--ranks", type=int, default=1, metavar="N",
                    help="rank count whose blocks to inspect (default: 1)")
-    p.add_argument("--scheme", action="append",
-                   choices=PARTITION_SCHEMES,
+    p.add_argument("--scheme", action="append", choices=PARTITION_SCHEMES,
                    help="restrict to one or more schemes (default: all)")
     p.set_defaults(func=_cmd_partition_stats)
     return parser

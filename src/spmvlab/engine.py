@@ -214,8 +214,7 @@ class MultContext:
             self.layouts = build_all_layouts(A, self.ranges)
             self.plan = build_scatter_plan(self.layouts)
 
-        self._closed = False
-        self._broken = False
+        self._closed = self._broken = False
         if not distributed:
             return
 
@@ -244,7 +243,6 @@ class MultContext:
 
     def __exit__(self, *exc):
         self.close()
-        return False
 
     # -- public multiply API ----------------------------------------------
 
@@ -276,10 +274,13 @@ class MultContext:
         y = np.empty(A.nrows)
         self.events = []
         errors = []  # the first is raised; each one releases every thread
+        started = threading.Event()  # no kernel runs while threads still spawn
 
         def work(r, t):
+            started.wait()
             try:
-                self._run(r, t, x, y)
+                if not errors:
+                    self._run(r, t, x, y)
             except BaseException as e:
                 errors.append(e)
                 self._panic()
@@ -294,7 +295,7 @@ class MultContext:
                         th.start()
                 except BaseException as e:
                     errors.append(e)
-                    self._panic()
+                started.set()
                 for th in threads:
                     if th.is_alive():
                         th.join()

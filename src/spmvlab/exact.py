@@ -15,7 +15,7 @@ The two phases of the row sum live here and serve both the threaded
 engine and the sequential ``layout.two_phase_multiply``:
 ``start_rows`` starts each row's expansion from its diagonal-block
 products, and ``finish_rows`` folds in the off-diagonal products and
-rounds each row once. Both run ``check_products`` first, since the
+rounds each row once. Both callers run ``check_products`` first, since the
 running sums stay exact only while no row's products can overflow.
 """
 

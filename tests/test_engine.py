@@ -192,15 +192,15 @@ def test_weighted_decomposition_shifts_cut():
     assert heavy.ranges[0].nrows < 4
 
 
-@pytest.mark.parametrize("model", MODELS)
-def test_context_close_and_reuse_error(model):
+def test_context_close_and_reuse_error():
     A = tridiagonal(4)
-    ctx = create_context(A, ExecConfig(model, 2, 2))
-    ctx.mat_mult(np.ones(4))
-    ctx.close()
-    with pytest.raises(RuntimeError, match="closed"):
+    for model in MODELS:
+        ctx = create_context(A, ExecConfig(model, 2, 2))
         ctx.mat_mult(np.ones(4))
-    ctx.close()  # idempotent
+        ctx.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            ctx.mat_mult(np.ones(4))
+        ctx.close()  # idempotent
 
 
 @pytest.mark.parametrize("model", MODELS)
