@@ -28,8 +28,8 @@ from .layout import (RankLayout, RowRange, ScatterPlan, build_all_layouts,
                      build_rank_layout, build_scatter_plan, decompose_rows,
                      two_phase_multiply)
 from .mmio import read_matrix_market, write_matrix_market
-from .sparse import (CsrMatrix, SparseFormatError, csr_from_triplets,
-                     spmv_serial, validate_csr)
+from .sparse import (CsrMatrix, SparseFormatError, csr_from_arrays,
+                     csr_from_triplets, spmv_serial, validate_csr)
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,7 @@ __all__ = [
     "RankLayout", "RowRange", "ScatterPlan", "build_all_layouts",
     "build_rank_layout", "build_scatter_plan", "decompose_rows",
     "two_phase_multiply",
-    "CsrMatrix", "SparseFormatError", "csr_from_triplets", "spmv_serial",
-    "validate_csr",
+    "CsrMatrix", "SparseFormatError", "csr_from_arrays", "csr_from_triplets",
+    "spmv_serial", "validate_csr",
     "__version__",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sparse import CsrMatrix
+from .sparse import CsrMatrix, csr_from_arrays
 
 __all__ = ["extruded_laplacian", "arrowhead"]
 
@@ -32,37 +32,15 @@ def extruded_laplacian(nx: int, ny: int, layers: int) -> CsrMatrix:
     if nx < 1 or ny < 1 or layers < 1:
         raise ValueError(f"grid dimensions must be >= 1, got ({nx}, {ny}, {layers})")
     n = nx * ny * layers
-    nxy = nx * ny
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    cols = []
-    vals = []
-    row = 0
-    for k in range(layers):
-        for j in range(ny):
-            for i in range(nx):
-                if k > 0:
-                    cols.append(row - nxy)
-                    vals.append(-1.0)
-                if j > 0:
-                    cols.append(row - nx)
-                    vals.append(-1.0)
-                if i > 0:
-                    cols.append(row - 1)
-                    vals.append(-1.0)
-                cols.append(row)
-                vals.append(7.0)
-                if i < nx - 1:
-                    cols.append(row + 1)
-                    vals.append(-1.0)
-                if j < ny - 1:
-                    cols.append(row + nx)
-                    vals.append(-1.0)
-                if k < layers - 1:
-                    cols.append(row + nxy)
-                    vals.append(-1.0)
-                row += 1
-                offsets[row] = len(cols)
-    return CsrMatrix(n, n, offsets, np.array(cols, dtype=np.int64), np.array(vals))
+    node = np.arange(n)
+    i, j, k = node % nx, node // nx % ny, node // (nx * ny)
+    # stencil offsets in ascending column order, each with its in-grid test
+    steps = np.array([-nx * ny, -nx, -1, 0, 1, nx, nx * ny])
+    inside = np.stack([k > 0, j > 0, i > 0, np.ones(n, dtype=bool),
+                       i < nx - 1, j < ny - 1, k < layers - 1], axis=1)
+    rows, step = np.nonzero(inside)
+    cols = rows + steps[step]
+    return csr_from_arrays(rows, cols, np.where(rows == cols, 7.0, -1.0), n, n)
 
 
 def arrowhead(n: int) -> CsrMatrix:
@@ -75,16 +53,7 @@ def arrowhead(n: int) -> CsrMatrix:
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    if n == 1:
-        return CsrMatrix(1, 1, np.array([0, 1]), np.array([0]), np.array([float(n)]))
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    cols = []
-    vals = []
-    for i in range(n - 1):
-        cols += [i, n - 1]
-        vals += [float(n), 1.0]
-        offsets[i + 1] = len(cols)
-    cols += list(range(n))
-    vals += [1.0] * (n - 1) + [float(n)]
-    offsets[n] = len(cols)
-    return CsrMatrix(n, n, offsets, np.array(cols, dtype=np.int64), np.array(vals))
+    head = np.arange(n - 1)
+    rows = np.concatenate([head, head, np.full(n, n - 1)])
+    cols = np.concatenate([head, np.full(n - 1, n - 1), np.arange(n)])
+    return csr_from_arrays(rows, cols, np.where(rows == cols, float(n), 1.0), n, n)

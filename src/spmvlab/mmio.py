@@ -4,6 +4,13 @@ Supports ``real`` and ``integer`` fields with ``general`` or ``symmetric``
 symmetry. Symmetric inputs are expanded to full storage on read. Values
 are written with ``repr`` so that write -> read reproduces the exact CSR
 arrays, bit for bit.
+
+After the size line each non-blank line is one entry of three tokens:
+two indices and a value, an integer in ``integer`` files, so ``1.0`` is
+rejected there. The body is parsed in one ``np.loadtxt`` pass, whose rules
+are those of Python's ``int()`` and ``float()`` but narrower: digit
+separators (``1_000``), non-ASCII digits and integer values beyond int64
+are rejected. An index beyond int64 is reported as out of bounds.
 """
 
 from __future__ import annotations
@@ -11,17 +18,13 @@ from __future__ import annotations
 import io
 import os
 
-from .sparse import CsrMatrix, SparseFormatError, csr_from_triplets
+import numpy as np
+
+from .sparse import CsrMatrix, SparseFormatError, csr_from_arrays
 
 __all__ = ["read_matrix_market", "write_matrix_market"]
 
 _BANNER = "%%MatrixMarket"
-
-
-def _open_lines(source):
-    if isinstance(source, (str, os.PathLike)):
-        return open(source, "r", encoding="ascii"), True
-    return source, False
 
 
 def read_matrix_market(source) -> CsrMatrix:
@@ -34,70 +37,88 @@ def read_matrix_market(source) -> CsrMatrix:
     Raises
     ------
     SparseFormatError
-        On a malformed or unsupported header, an index outside the
-        declared bounds, or an entry count that disagrees with the size
-        line.
+        On a malformed or unsupported header, a malformed entry line, an
+        index outside the declared bounds, or an entry count that
+        disagrees with the size line. A per-line error names the first
+        bad line in file order and takes precedence over the count.
     """
-    stream, owned = _open_lines(source)
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "r", encoding="ascii") as stream:
+            return read_matrix_market(stream)
+    header = source.readline()
+    parts = header.split()
+    if len(parts) != 5 or parts[0] != _BANNER:
+        raise SparseFormatError(f"malformed header line: {header.strip()!r}")
+    obj, fmt, field, symmetry = (p.lower() for p in parts[1:])
+    if obj != "matrix" or fmt != "coordinate":
+        raise SparseFormatError(
+            f"unsupported object/format {obj!r}/{fmt!r}; "
+            "only 'matrix coordinate' is handled")
+    if field not in ("real", "integer"):
+        raise SparseFormatError(f"unsupported field {field!r}")
+    if symmetry not in ("general", "symmetric"):
+        raise SparseFormatError(f"unsupported symmetry {symmetry!r}")
+
+    size_line = None
+    for line in source:
+        s = line.strip()
+        if not s or s.startswith("%"):
+            continue
+        size_line = s
+        break
+    if size_line is None:
+        raise SparseFormatError("missing size line")
     try:
-        header = stream.readline()
-        parts = header.split()
-        if len(parts) != 5 or parts[0] != _BANNER:
-            raise SparseFormatError(f"malformed header line: {header.strip()!r}")
-        obj, fmt, field, symmetry = (p.lower() for p in parts[1:])
-        if obj != "matrix" or fmt != "coordinate":
-            raise SparseFormatError(
-                f"unsupported object/format {obj!r}/{fmt!r}; "
-                "only 'matrix coordinate' is handled")
-        if field not in ("real", "integer"):
-            raise SparseFormatError(f"unsupported field {field!r}")
-        if symmetry not in ("general", "symmetric"):
-            raise SparseFormatError(f"unsupported symmetry {symmetry!r}")
+        nrows, ncols, nnz = (int(t) for t in size_line.split())
+    except ValueError:
+        raise SparseFormatError(f"malformed size line: {size_line!r}") from None
+    if nrows < 0 or ncols < 0 or nnz < 0:
+        raise SparseFormatError(f"negative size declaration: {size_line!r}")
 
-        size_line = None
-        for line in stream:
-            s = line.strip()
-            if not s or s.startswith("%"):
-                continue
-            size_line = s
-            break
-        if size_line is None:
-            raise SparseFormatError("missing size line")
+    entries = _read_entries(source.read(), field, nrows, ncols)
+    if len(entries) != nnz:
+        raise SparseFormatError(
+            f"size line declares {nnz} entries but file contains {len(entries)}")
+    i, j, v = entries["i"] - 1, entries["j"] - 1, entries["v"]
+    if symmetry == "symmetric":
+        # each off-diagonal entry is followed by its mirror
+        keep = np.column_stack([np.ones(len(i), dtype=bool), i != j])
+        i, j = np.column_stack([i, j])[keep], np.column_stack([j, i])[keep]
+        v = np.column_stack([v, v])[keep]
+    return csr_from_arrays(i, j, v, nrows, ncols)
+
+
+def _read_entries(body: str, field: str, nrows: int, ncols: int) -> np.ndarray:
+    """The entry lines as one-based (i, j, v) records, parsed in one pass.
+
+    On a parse or bounds failure the stripped lines are checked one by one
+    in file order, so the error names the first bad line; if none breaks a
+    per-line rule, numpy's message is raised.
+    """
+    dtype = [("i", np.int64), ("j", np.int64),
+             ("v", np.float64 if field == "real" else np.int64)]
+    if not body or body.isspace():
+        return np.empty(0, dtype=dtype)
+    try:
+        entries = np.loadtxt(io.StringIO(body), comments=None, ndmin=1, dtype=dtype)
+    except ValueError as exc:
+        error = str(exc)
+    else:
+        i, j = entries["i"], entries["j"]
+        if not np.any((i < 1) | (i > nrows) | (j < 1) | (j > ncols)):
+            return entries
+        error = f"an entry lies outside declared {nrows}x{ncols} bounds"
+    for s in filter(None, map(str.strip, io.StringIO(body))):
         try:
-            nrows, ncols, nnz = (int(t) for t in size_line.split())
+            i, j, value = s.split()
+            i, j = int(i), int(j)
+            (float if field == "real" else int)(value)
         except ValueError:
-            raise SparseFormatError(f"malformed size line: {size_line!r}") from None
-        if nrows < 0 or ncols < 0 or nnz < 0:
-            raise SparseFormatError(f"negative size declaration: {size_line!r}")
-
-        triplets = []
-        count = 0
-        for line in stream:
-            s = line.strip()
-            if not s:
-                continue
-            count += 1
-            tokens = s.split()
-            if len(tokens) != 3:
-                raise SparseFormatError(f"malformed entry line: {s!r}")
-            try:
-                i, j = int(tokens[0]), int(tokens[1])
-                v = float(tokens[2]) if field == "real" else float(int(tokens[2]))
-            except ValueError:
-                raise SparseFormatError(f"malformed entry line: {s!r}") from None
-            if not (1 <= i <= nrows and 1 <= j <= ncols):
-                raise SparseFormatError(
-                    f"entry ({i}, {j}) outside declared {nrows}x{ncols} bounds")
-            triplets.append((i - 1, j - 1, v))
-            if symmetry == "symmetric" and i != j:
-                triplets.append((j - 1, i - 1, v))
-        if count != nnz:
+            raise SparseFormatError(f"malformed entry line: {s!r}") from None
+        if not (1 <= i <= nrows and 1 <= j <= ncols):
             raise SparseFormatError(
-                f"size line declares {nnz} entries but file contains {count}")
-        return csr_from_triplets(triplets, nrows, ncols)
-    finally:
-        if owned:
-            stream.close()
+                f"entry ({i}, {j}) outside declared {nrows}x{ncols} bounds")
+    raise SparseFormatError(error)
 
 
 def write_matrix_market(A: CsrMatrix) -> str:

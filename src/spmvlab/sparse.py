@@ -1,4 +1,8 @@
-"""Compressed sparse row matrices and the serial multiply oracle."""
+"""Compressed sparse row matrices and the serial multiply oracle.
+
+``csr_from_arrays`` is the package's one assembly path: the Matrix Market
+reader, the generators and ``csr_from_triplets`` all build through it.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +15,7 @@ __all__ = [
     "SparseFormatError",
     "CsrMatrix",
     "validate_csr",
+    "csr_from_arrays",
     "csr_from_triplets",
     "spmv_serial",
 ]
@@ -63,12 +68,10 @@ class CsrMatrix:
 
     def diagonal(self) -> np.ndarray:
         """Main-diagonal entries as a dense vector (absent entries are 0)."""
+        rows = np.repeat(np.arange(self.nrows), self.row_nnz())
+        on = rows == self.col_indices
         d = np.zeros(min(self.nrows, self.ncols))
-        for i in range(len(d)):
-            lo, hi = self.row_offsets[i], self.row_offsets[i + 1]
-            k = np.searchsorted(self.col_indices[lo:hi], i)
-            if k < hi - lo and self.col_indices[lo + k] == i:
-                d[i] = self.values[lo + k]
+        d[rows[on]] = self.values[on]
         return d
 
     def to_dense(self) -> np.ndarray:
@@ -112,36 +115,34 @@ def validate_csr(A: CsrMatrix) -> None:
         bad = np.flatnonzero((A.col_indices < 0) | (A.col_indices >= A.ncols))[0]
         raise SparseFormatError(
             f"column index {A.col_indices[bad]} out of range [0, {A.ncols})")
-    for i in range(A.nrows):
-        row = A.col_indices[offs[i]:offs[i + 1]]
-        if len(row) > 1 and np.any(np.diff(row) <= 0):
-            raise SparseFormatError(
-                f"row {i}: column indices not strictly increasing")
+    # a step into a row start compares two rows: it orders nothing
+    bad = np.diff(A.col_indices) <= 0
+    bad[offs[(offs > 0) & (offs < nnz)] - 1] = False
+    if bad.any():
+        row = int(np.searchsorted(offs, np.argmax(bad), side="right")) - 1
+        raise SparseFormatError(
+            f"row {row}: column indices not strictly increasing")
     if nnz and not np.all(np.isfinite(A.values)):
         bad = np.flatnonzero(~np.isfinite(A.values))[0]
         raise SparseFormatError(f"non-finite value at storage position {bad}")
 
 
-def csr_from_triplets(entries, nrows: int, ncols: int) -> CsrMatrix:
-    """Assemble a canonical CSR matrix from (row, col, value) triplets.
+def csr_from_arrays(rows, cols, values, nrows: int, ncols: int) -> CsrMatrix:
+    """Assemble a validated canonical CSR matrix from coordinate arrays.
 
-    Duplicate (row, col) pairs are summed. Entries whose summed value is
-    exactly zero are retained as explicit stored zeros. Rows come out
-    sorted by column.
-
-    Raises
-    ------
-    SparseFormatError
-        If any triplet's row or column index falls outside the declared
-        shape; the message names the offending entry.
+    Entry k is (rows[k], cols[k], values[k]). Duplicate (row, col) pairs
+    are summed in input order, exact zeros stay stored, and rows come out
+    sorted by column. Raises SparseFormatError naming the first entry with
+    an index that is not of integer dtype or is outside the shape.
     """
-    entries = list(entries)
-    if not entries:
-        return CsrMatrix(nrows, ncols, np.zeros(nrows + 1, dtype=np.int64),
-                         np.empty(0, dtype=np.int64), np.empty(0))
-    r = np.array([e[0] for e in entries], dtype=np.int64)
-    c = np.array([e[1] for e in entries], dtype=np.int64)
-    v = np.array([e[2] for e in entries], dtype=np.float64)
+    r, c = np.asarray(rows), np.asarray(cols)
+    v = np.asarray(values, dtype=np.float64)
+    if len(r) and (r.dtype.kind not in "iu" or c.dtype.kind not in "iu"):
+        integral = [x == np.trunc(x) if x.dtype.kind == "f" else
+                    np.full(len(x), x.dtype.kind in "iu") for x in (r, c)]
+        k = int(np.argmin(integral[0] & integral[1]))
+        raise SparseFormatError(
+            f"entry ({r[k]}, {c[k]}, {v[k]}) has an index that is not a 64-bit integer")
     bad = np.flatnonzero((r < 0) | (r >= nrows) | (c < 0) | (c >= ncols))
     if len(bad):
         k = int(bad[0])
@@ -149,18 +150,21 @@ def csr_from_triplets(entries, nrows: int, ncols: int) -> CsrMatrix:
             f"entry ({r[k]}, {c[k]}, {v[k]}) out of range for a "
             f"{nrows}x{ncols} matrix")
     order = np.lexsort((c, r))
-    r, c, v = r[order], c[order], v[order]
-    first = np.ones(len(r), dtype=bool)
-    first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-    starts = np.flatnonzero(first)
-    vals = np.add.reduceat(v, starts)
-    rows, cols = r[starts], c[starts]
+    r, c, v = r[order].astype(np.int64), c[order].astype(np.int64), v[order]
+    starts = np.flatnonzero((np.diff(r, prepend=-1) != 0)
+                            | (np.diff(c, prepend=-1) != 0))
     offsets = np.zeros(nrows + 1, dtype=np.int64)
-    np.add.at(offsets, rows + 1, 1)
-    np.cumsum(offsets, out=offsets)
-    A = CsrMatrix(nrows, ncols, offsets, cols, vals)
+    np.cumsum(np.bincount(r[starts], minlength=nrows), out=offsets[1:])
+    A = CsrMatrix(nrows, ncols, offsets, c[starts], np.add.reduceat(v, starts))
     validate_csr(A)
     return A
+
+
+def csr_from_triplets(entries, nrows: int, ncols: int) -> CsrMatrix:
+    """Assemble a canonical CSR matrix from (row, col, value) triplets by
+    unzipping them into ``csr_from_arrays``, whose rules and errors apply."""
+    rows, cols, values = tuple(zip(*entries)) or ((), (), ())
+    return csr_from_arrays(rows, cols, values, nrows, ncols)
 
 
 def spmv_serial(A: CsrMatrix, x: np.ndarray) -> np.ndarray:

@@ -110,6 +110,34 @@ def laplacian_nnz_by_counting(nx, ny, layers):
     return count
 
 
+def laplacian_dense_by_neighbors(nx, ny, layers):
+    """Dense 7-point grid stencil built by direct neighbor checks: 7 on the
+    diagonal, -1 for each in-grid axis neighbor, node (i, j, k) at row
+    i + nx*(j + ny*k)."""
+    n = nx * ny * layers
+    dense = np.zeros((n, n))
+    for k in range(layers):
+        for j in range(ny):
+            for i in range(nx):
+                row = i + nx * (j + ny * k)
+                dense[row, row] = 7.0
+                for di, dj, dk in [(-1, 0, 0), (1, 0, 0), (0, -1, 0),
+                                   (0, 1, 0), (0, 0, -1), (0, 0, 1)]:
+                    a, b, c = i + di, j + dj, k + dk
+                    if 0 <= a < nx and 0 <= b < ny and 0 <= c < layers:
+                        dense[row, a + nx * (b + ny * c)] = -1.0
+    return dense
+
+
+def arrowhead_dense(n):
+    """Dense arrowhead of order n: n on the diagonal, 1 elsewhere in the
+    last row and last column, 0 everywhere else."""
+    dense = np.zeros((n, n))
+    dense[-1, :] = dense[:, -1] = 1.0
+    np.fill_diagonal(dense, float(n))
+    return dense
+
+
 def tridiagonal(n, diag=2.0, off=-1.0):
     triplets = [(i, i, diag) for i in range(n)]
     triplets += [(i, i + 1, off) for i in range(n - 1)]

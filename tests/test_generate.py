@@ -3,7 +3,8 @@ import pytest
 
 from spmvlab import arrowhead, extruded_laplacian
 
-from helpers import laplacian_nnz_by_counting
+from helpers import (arrowhead_dense, laplacian_dense_by_neighbors,
+                     laplacian_nnz_by_counting)
 
 
 def test_single_node_grid():
@@ -23,6 +24,12 @@ def test_nnz_matches_neighbor_count_oracle():
     for nx, ny, layers in [(1, 1, 5), (3, 2, 1), (4, 4, 8), (2, 5, 3)]:
         A = extruded_laplacian(nx, ny, layers)
         assert A.nnz == laplacian_nnz_by_counting(nx, ny, layers)
+
+
+def test_entries_match_dense_neighbor_oracle():
+    for nx, ny, layers in [(1, 1, 5), (3, 2, 1), (4, 4, 8), (2, 5, 3)]:
+        A = extruded_laplacian(nx, ny, layers)
+        assert np.array_equal(A.to_dense(), laplacian_dense_by_neighbors(nx, ny, layers))
 
 
 def test_nnz_grows_affinely_in_layers():
@@ -65,6 +72,11 @@ def test_arrowhead_shape():
     assert A.row_nnz()[-1] == 6
     assert all(n == 2 for n in A.row_nnz()[:-1])
     assert np.linalg.eigvalsh(dense).min() > 0
+
+
+def test_arrowhead_entries_match_definition():
+    for n in (1, 2, 3, 6, 17):
+        assert np.array_equal(arrowhead(n).to_dense(), arrowhead_dense(n))
 
 
 def test_arrowhead_trivial_order():

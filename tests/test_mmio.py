@@ -1,7 +1,11 @@
 import io
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spmvlab import (SparseFormatError, csr_from_triplets, read_matrix_market,
                      write_matrix_market)
@@ -114,3 +118,101 @@ def test_read_from_path(tmp_path):
     A = identity_csr(4)
     p.write_text(write_matrix_market(A))
     assert csr_equal(A, read_matrix_market(p))
+
+
+_GENERAL = "%%MatrixMarket matrix coordinate real general\n"
+
+
+@pytest.mark.parametrize("line", ["1   1", "1 1 1.0  7", "1 1 abc", "% a  comment"])
+def test_read_malformed_entry_line_quotes_stripped_line(line):
+    with pytest.raises(SparseFormatError,
+                       match=re.escape(f"malformed entry line: {line!r}")):
+        _read(_GENERAL + "2 2 2\n1 1 1.0\n  " + line + " \t\n")
+
+
+def test_read_integer_field_rejects_fraction():
+    with pytest.raises(SparseFormatError,
+                       match=re.escape("malformed entry line: '1 1 1.0'")):
+        _read("%%MatrixMarket matrix coordinate integer general\n"
+              "1 1 1\n"
+              "1 1 1.0\n")
+
+
+def test_read_skips_blank_lines_and_crlf():
+    text = (_GENERAL.replace("\n", "\r\n") + "2 2 2\r\n\r\n"
+            "1 1 1.5\r\n   \r\n\t\n2 2 -2.0\r\n\r\n")
+    A = _read(text)
+    assert A.to_dense().tolist() == [[1.5, 0.0], [0.0, -2.0]]
+    with pytest.raises(SparseFormatError, match="declares 3 entries but file contains 2"):
+        _read(text.replace("2 2 2\r\n", "2 2 3\r\n", 1))
+
+
+def test_read_crlf_file_from_path(tmp_path):
+    p = tmp_path / "crlf.mtx"
+    p.write_bytes(b"%%MatrixMarket matrix coordinate real symmetric\r\n"
+                  b"2 2 2\r\n1 1 3.0\r\n\r\n2 1 5.0\r\n")
+    assert read_matrix_market(p).to_dense().tolist() == [[3.0, 5.0], [5.0, 0.0]]
+
+
+def test_read_first_defect_in_file_order_wins():
+    with pytest.raises(SparseFormatError, match=re.escape("entry (3, 1) outside declared")):
+        _read(_GENERAL + "2 2 3\n1 1 1.0\n3 1 1.0\n1 x 1.0\n")
+    with pytest.raises(SparseFormatError, match=re.escape("malformed entry line: '1 x 1.0'")):
+        _read(_GENERAL + "2 2 3\n1 1 1.0\n1 x 1.0\n3 1 1.0\n")
+    with pytest.raises(SparseFormatError, match=re.escape("entry (1, 3) outside declared")):
+        _read(_GENERAL + "2 2 5\n1 1 1.0\n1 3 1.0\n")
+    with pytest.raises(SparseFormatError, match="malformed entry line"):
+        _read(_GENERAL + "2 2 1\n1 1 1.0\n2 2\n")
+
+
+def test_read_huge_index_is_out_of_bounds():
+    with pytest.raises(SparseFormatError,
+                       match=re.escape("entry (1, 12345678901234567890) outside declared")):
+        _read(_GENERAL + "2 2 1\n1 12345678901234567890 1.0\n")
+
+
+def test_read_rejects_tokens_only_python_parses():
+    # Python's int() and float() accept digit separators and integers of any
+    # size; the reader's parser does not.
+    with pytest.raises(SparseFormatError, match="1_000"):
+        _read(_GENERAL + "1 1 1\n1 1 1_000\n")
+    with pytest.raises(SparseFormatError, match="99999999999999999999"):
+        _read("%%MatrixMarket matrix coordinate integer general\n"
+              "1 1 1\n1 1 99999999999999999999\n")
+
+
+@pytest.mark.parametrize("tail", ["", "\n", "\n\n  \n"])
+def test_read_no_entries_is_empty_and_silent(tail):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        A = _read(_GENERAL + "3 2 0\n" + tail)
+    assert A.shape == (3, 2) and A.nnz == 0
+    assert A.row_offsets.tolist() == [0, 0, 0, 0]
+
+
+_EDGE_VALUES = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                                2.2250738585072014e-308, 1.7976931348623157e308,
+                                0.1, 1 / 3])
+_VALUES = st.one_of(_EDGE_VALUES, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_round_trip_general_bit_exact(nrows, ncols, data):
+    entries = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)), _VALUES))
+    A = csr_from_triplets([(i, j, v) for (i, j), v in entries.items()], nrows, ncols)
+    assert csr_equal(A, _read(write_matrix_market(A)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_round_trip_symmetric_bit_exact(n, data):
+    entries = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda ij: ij[0] >= ij[1]), _VALUES))
+    text = (f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} {len(entries)}\n"
+            + "".join(f"{i + 1} {j + 1} {v!r}\n" for (i, j), v in entries.items()))
+    mirrored = {(j, i): v for (i, j), v in entries.items()} | entries
+    expected = csr_from_triplets([(i, j, v) for (i, j), v in mirrored.items()], n, n)
+    assert csr_equal(_read(text), expected)

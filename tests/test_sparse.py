@@ -46,6 +46,13 @@ def test_triplets_out_of_range_names_entry():
         csr_from_triplets([(3, 0, 1.0)], 2, 2)
 
 
+def test_triplets_fractional_index_names_entry():
+    with pytest.raises(SparseFormatError, match=r"entry \(0, 1\.9, 2\.0\)"):
+        csr_from_triplets([(0, 1.9, 2.0)], 1, 3)
+    with pytest.raises(SparseFormatError, match=r"entry \(1\.5, 0, 1\.0\)"):
+        csr_from_triplets([(0, 0, 1.0), (1.5, 0, 1.0)], 2, 2)
+
+
 def test_triplets_explicit_zero_retained():
     A = csr_from_triplets([(0, 0, 1.0), (0, 0, -1.0), (1, 1, 0.0)], 2, 2)
     assert A.nnz == 2
@@ -135,6 +142,38 @@ def test_spmv_empty_rows_give_zero():
     A = csr_from_triplets([(2, 2, 4.0)], 3, 3)
     y = spmv_serial(A, [1.0, 1.0, 1.0])
     assert y.tolist() == [0.0, 0.0, 4.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 6), st.data())
+def test_validator_row_order_matches_per_row_definition(nrows, ncols, data):
+    # rows drawn sorted or in any order, so decreasing steps fall both inside
+    # rows and across row starts, and empty rows occur
+    rows = data.draw(st.lists(st.one_of(
+        st.lists(st.integers(0, ncols - 1), max_size=4),
+        st.sets(st.integers(0, ncols - 1), max_size=4).map(sorted)),
+        min_size=nrows, max_size=nrows))
+    offsets = np.cumsum([0] + [len(r) for r in rows])
+    cols = [c for r in rows for c in r]
+    A = CsrMatrix(nrows, ncols, offsets, cols, np.ones(len(cols)))
+    first_bad = next((i for i, r in enumerate(rows)
+                      if any(b <= a for a, b in zip(r, r[1:]))), None)
+    if first_bad is None:
+        validate_csr(A)
+    else:
+        with pytest.raises(SparseFormatError,
+                           match=f"^row {first_bad}: column indices not strictly"):
+            validate_csr(A)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_diagonal_matches_dense_property(nrows, ncols, data):
+    entries = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)),
+        st.floats(allow_nan=False, allow_infinity=False)))
+    A = csr_from_triplets([(i, j, v) for (i, j), v in entries.items()], nrows, ncols)
+    assert A.diagonal().tobytes() == np.diag(A.to_dense()).tobytes()
 
 
 def test_diagonal_extraction():
