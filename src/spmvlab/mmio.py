@@ -25,6 +25,7 @@ from .sparse import CsrMatrix, SparseFormatError, csr_from_arrays
 __all__ = ["read_matrix_market", "write_matrix_market"]
 
 _BANNER = "%%MatrixMarket"
+_WRITE_CHUNK = 1 << 16
 
 
 def read_matrix_market(source) -> CsrMatrix:
@@ -59,13 +60,8 @@ def read_matrix_market(source) -> CsrMatrix:
     if symmetry not in ("general", "symmetric"):
         raise SparseFormatError(f"unsupported symmetry {symmetry!r}")
 
-    size_line = None
-    for line in source:
-        s = line.strip()
-        if not s or s.startswith("%"):
-            continue
-        size_line = s
-        break
+    size_line = next((s for s in map(str.strip, source)
+                      if s and not s.startswith("%")), None)
     if size_line is None:
         raise SparseFormatError("missing size line")
     try:
@@ -100,7 +96,9 @@ def _read_entries(body: str, field: str, nrows: int, ncols: int) -> np.ndarray:
     if not body or body.isspace():
         return np.empty(0, dtype=dtype)
     try:
-        entries = np.loadtxt(io.StringIO(body), comments=None, ndmin=1, dtype=dtype)
+        # BytesIO shares the encoded body; StringIO copies it at 4 bytes a char
+        entries = np.loadtxt(io.BytesIO(body.encode()), comments=None, ndmin=1,
+                             dtype=dtype, encoding="utf-8")
     except ValueError as exc:
         error = str(exc)
     else:
@@ -123,13 +121,13 @@ def _read_entries(body: str, field: str, nrows: int, ncols: int) -> np.ndarray:
 
 def write_matrix_market(A: CsrMatrix) -> str:
     """Render a CsrMatrix as Matrix Market coordinate/general text."""
-    out = io.StringIO()
-    out.write(f"{_BANNER} matrix coordinate real general\n")
-    out.write(f"{A.nrows} {A.ncols} {A.nnz}\n")
-    offs = A.row_offsets.tolist()
-    cols = A.col_indices.tolist()
-    vals = A.values.tolist()
-    for i in range(A.nrows):
-        for k in range(offs[i], offs[i + 1]):
-            out.write(f"{i + 1} {cols[k] + 1} {vals[k]!r}\n")
-    return out.getvalue()
+    rows = np.repeat(np.arange(1, A.nrows + 1), A.row_nnz())
+    parts = [f"{_BANNER} matrix coordinate real general\n",
+             f"{A.nrows} {A.ncols} {A.nnz}\n"]
+    # a chunk at a time, so that no Python object per entry outlives its chunk
+    for lo in range(0, A.nnz, _WRITE_CHUNK):
+        at = slice(lo, lo + _WRITE_CHUNK)
+        parts.append("".join(map("{} {} {!r}\n".format, rows[at].tolist(),
+                                 (A.col_indices[at] + 1).tolist(),
+                                 A.values[at].tolist())))
+    return "".join(parts)

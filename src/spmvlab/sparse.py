@@ -44,15 +44,11 @@ class CsrMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "row_offsets",
-                           np.ascontiguousarray(self.row_offsets, dtype=np.int64))
-        object.__setattr__(self, "col_indices",
-                           np.ascontiguousarray(self.col_indices, dtype=np.int64))
-        object.__setattr__(self, "values",
-                           np.ascontiguousarray(self.values, dtype=np.float64))
-        self.row_offsets.flags.writeable = False
-        self.col_indices.flags.writeable = False
-        self.values.flags.writeable = False
+        for name, dtype in (("row_offsets", np.int64), ("col_indices", np.int64),
+                            ("values", np.float64)):
+            a = np.ascontiguousarray(getattr(self, name), dtype=dtype)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def nnz(self) -> int:
@@ -149,13 +145,18 @@ def csr_from_arrays(rows, cols, values, nrows: int, ncols: int) -> CsrMatrix:
         raise SparseFormatError(
             f"entry ({r[k]}, {c[k]}, {v[k]}) out of range for a "
             f"{nrows}x{ncols} matrix")
-    order = np.lexsort((c, r))
-    r, c, v = r[order].astype(np.int64), c[order].astype(np.int64), v[order]
-    starts = np.flatnonzero((np.diff(r, prepend=-1) != 0)
-                            | (np.diff(c, prepend=-1) != 0))
+    r, c = r.astype(np.int64, copy=False), c.astype(np.int64, copy=False)
+    step = np.diff(r)
+    # generated and written entries come sorted by (row, col) without repeats
+    if not ((step >= 0).all() and ((step > 0) | (np.diff(c) > 0)).all()):
+        order = np.lexsort((c, r))
+        r, c, v = r[order], c[order], v[order]
+        starts = np.flatnonzero((np.diff(r, prepend=-1) != 0)
+                                | (np.diff(c, prepend=-1) != 0))
+        r, c, v = r[starts], c[starts], np.add.reduceat(v, starts)
     offsets = np.zeros(nrows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(r[starts], minlength=nrows), out=offsets[1:])
-    A = CsrMatrix(nrows, ncols, offsets, c[starts], np.add.reduceat(v, starts))
+    np.cumsum(np.bincount(r, minlength=nrows), out=offsets[1:])
+    A = CsrMatrix(nrows, ncols, offsets, np.array(c), np.array(v))
     validate_csr(A)
     return A
 

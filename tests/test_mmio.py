@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spmvlab import (SparseFormatError, csr_from_triplets, read_matrix_market,
-                     write_matrix_market)
+from spmvlab import (SparseFormatError, csr_from_triplets, extruded_laplacian,
+                     read_matrix_market, write_matrix_market)
 
 from helpers import csr_equal, identity_csr, random_spd_csr
 
@@ -97,6 +97,16 @@ def test_write_identity_two():
 def test_write_empty_matrix():
     text = write_matrix_market(csr_from_triplets([], 3, 3))
     assert text.strip().split("\n")[1] == "3 3 0"
+
+
+def test_write_spans_chunks():
+    A = extruded_laplacian(20, 20, 25)  # 67,200 entries: two write chunks
+    rows = np.repeat(np.arange(A.nrows), A.row_nnz())
+    text = write_matrix_market(A)
+    assert text.split("\n", 2)[2] == "".join(
+        f"{i + 1} {j + 1} {v!r}\n"
+        for i, j, v in zip(rows.tolist(), A.col_indices.tolist(), A.values.tolist()))
+    assert csr_equal(A, _read(text))
 
 
 def test_round_trip_random_20x20_exact():

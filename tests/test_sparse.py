@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spmvlab import (CsrMatrix, SparseFormatError, csr_from_triplets,
-                     spmv_serial, validate_csr)
+from spmvlab import (CsrMatrix, SparseFormatError, csr_from_arrays,
+                     csr_from_triplets, spmv_serial, validate_csr)
 
 from helpers import csr_equal, dense_spmv_exact, identity_csr, random_spd_csr
 
@@ -76,6 +76,16 @@ def test_arrays_are_read_only():
     A = csr_from_triplets([(0, 0, 1.0)], 1, 1)
     with pytest.raises(ValueError):
         A.values[0] = 2.0
+
+
+def test_arrays_assembly_copies_sorted_input():
+    # sorted input without repeats skips the sort, but not the copy
+    rows, cols, vals = np.array([0, 0, 1]), np.array([0, 2, 1]), np.array([1.0, 2.0, 3.0])
+    A = csr_from_arrays(rows, cols, vals, 2, 3)
+    cols[:], vals[:] = 0, 9.0
+    assert A.row_offsets.tolist() == [0, 2, 3]
+    assert A.col_indices.tolist() == [0, 2, 1]
+    assert A.values.tolist() == [1.0, 2.0, 3.0]
 
 
 def test_validator_rejects_bad_structures():
