@@ -20,7 +20,7 @@ from .bench import (BenchRecord, CSV_HEADER, OracleMismatchError,
                     partition_stats, run_cg_benchmark, run_spmv_benchmark)
 from .engine import (ExecConfig, MODELS, MultContext, PhaseEvent,
                      RankPhaseTimings, create_context)
-from .fabric import Fabric, LatencyModel, MessageHandle, create_fabric
+from .fabric import Fabric, LatencyModel, create_fabric
 from .generate import arrowhead, extruded_laplacian
 from .krylov import (CgBreakdownError, SingularPreconditionerError,
                      SolveReport, cg_solve, jacobi_apply)
@@ -40,7 +40,7 @@ __all__ = [
     "run_cg_benchmark", "run_spmv_benchmark",
     "ExecConfig", "MODELS", "MultContext", "PhaseEvent", "RankPhaseTimings",
     "create_context",
-    "Fabric", "LatencyModel", "MessageHandle", "create_fabric",
+    "Fabric", "LatencyModel", "create_fabric",
     "arrowhead", "extruded_laplacian",
     "CgBreakdownError", "SingularPreconditionerError", "SolveReport",
     "cg_solve", "jacobi_apply",

@@ -16,7 +16,7 @@ from .bench import (OracleMismatchError, append_record, find_baseline,
                     format_partition_stats, load_records, partition_stats,
                     run_cg_benchmark, run_spmv_benchmark, with_efficiency)
 from .engine import ExecConfig, MODELS
-from .fabric import Fabric, LatencyModel
+from .fabric import PROGRESS_MODES, Fabric, LatencyModel
 from .generate import extruded_laplacian
 from .krylov import DEFAULT_RTOL, MAX_ITERATIONS
 from .mmio import read_matrix_market, write_matrix_market
@@ -47,8 +47,7 @@ def _add_exec_options(p, with_reps=False, with_rtol=False):
                    help="injected per-message latency in microseconds")
     p.add_argument("--latency-per-elem-ns", type=float, default=0.0, metavar="Y",
                    help="injected per-element latency in nanoseconds")
-    p.add_argument("--progress", choices=("active", "background"),
-                   default="active",
+    p.add_argument("--progress", choices=PROGRESS_MODES, default="active",
                    help="message progress mode: latency paid inside wait "
                         "(active) or elapsing from post (background)")
     p.add_argument("--csv", metavar="PATH", default=None,

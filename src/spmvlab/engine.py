@@ -3,8 +3,8 @@
 ``serial`` runs the reference kernel on the whole matrix. The threaded
 models distribute contiguous row blocks over ranks (thread groups inside
 this process) and run the two-phase scheme per rank: multiply the
-diagonal block against the local vector slice while ghost values travel
-through the fabric, then fold in the off-diagonal block.
+diagonal block against the local vector slice while the fabric charges
+the ghost exchange's latency, then fold in the off-diagonal block.
 
 ``vector`` is master-only threading: every thread computes a share of
 both phases, and the master pays the communication wait between them,
@@ -13,6 +13,11 @@ actively waits, and unpacks while threads 1..T-1 compute, hiding the
 transfer latency behind the diagonal phase. ``task-balanced`` is
 ``task`` with per-block thread partitions balanced by nonzero count
 (greedy cuts plus local diffusion) instead of equal rows.
+
+Ranks share the input vector, so thread 0 posts by recording the time
+its rank's latency starts, and unpacks by gathering the rank's ghost
+values with ``layout.fill_ghost`` once the fabric has charged that
+latency. No rank waits on a peer.
 
 Both threaded models run one per-thread schedule and differ only in when
 thread 0 waits for the ghost values: at once under ``task``, where it
@@ -59,7 +64,8 @@ import numpy as np
 from .balance import scheme_partition
 from .exact import check_products, finish_rows, start_rows
 from .fabric import Fabric, create_fabric
-from .layout import build_all_layouts, build_scatter_plan, decompose_rows
+from .layout import (build_all_layouts, build_scatter_plan, decompose_rows,
+                     fill_ghost)
 from .sparse import CsrMatrix, spmv_serial
 
 __all__ = [
@@ -120,9 +126,10 @@ class ExecConfig:
 
 
 class PhaseEvent(NamedTuple):
-    """One thread's pass through one phase of one multiply: ``"post"``,
-    ``"wait"`` (wait plus unpack), or compute (``"diag"``, ``"off"``)
-    over global rows ``[lo, hi)``. Times are monotonic wall clock."""
+    """One thread's pass through one phase of one multiply: ``"post"``
+    (an instant: the exchange's latency starts), ``"wait"`` (latency
+    plus unpack), or compute (``"diag"``, ``"off"``) over global rows
+    ``[lo, hi)``. Times are monotonic wall clock."""
 
     phase: str
     rank: int
@@ -137,12 +144,12 @@ class PhaseEvent(NamedTuple):
 class RankPhaseTimings:
     """Phase durations for one rank during one multiply, in seconds.
 
-    ``scatter_post_s`` covers posting sends/receives, ``wait_s`` the
-    active wait plus ghost unpack, ``diag_s`` and ``off_diag_s`` the full
-    span of the compute phases. The per-thread lists give each compute
-    thread's own kernel duration, in worker order; a rank's kernels run
-    one at a time under its lock, so these are true per-thread work
-    times, not phase spans.
+    ``scatter_post_s`` is the post event's span (zero: posting only
+    records the time), ``wait_s`` the latency wait plus ghost unpack,
+    ``diag_s`` and ``off_diag_s`` the full span of the compute phases.
+    The per-thread lists give each compute thread's own kernel duration,
+    in worker order; a rank's kernels run one at a time under its lock,
+    so these are true per-thread work times, not phase spans.
     All values come from the monotonic wall clock.
     """
 
@@ -343,13 +350,13 @@ class MultContext:
     def _panic(self):
         for b in self._rank_barriers:
             b.abort()
-        self.fabric.cancel()
 
     def _run(self, r, t, x, y):
         """Thread ``t``'s share of one multiply on rank ``r``.
 
-        Thread 0 posts the ghost exchange. Under ``task`` it then waits at
-        once and computes nothing, and thread ``t`` is worker ``t - 1``.
+        Thread 0 posts the ghost exchange, which starts its latency. Under
+        ``task`` it then waits at once and computes nothing, and thread
+        ``t`` is worker ``t - 1``.
         Under ``vector`` every thread is worker ``t``, and thread 0 waits
         only after the diagonal phase, between two rank barriers.
         """
@@ -361,11 +368,10 @@ class MultContext:
         row_base = lay.own.begin
         x_local = x[row_base:lay.own.end]
         if t == 0:
-            t0 = perf_counter()
-            recv_handles = self._post_exchange(r, x)
-            self.events.append(PhaseEvent("post", r, 0, t0, perf_counter()))
+            posted = perf_counter()
+            self.events.append(PhaseEvent("post", r, 0, posted, posted))
             if task:
-                self._wait_and_unpack(r, recv_handles)
+                self._wait_and_unpack(r, posted, x)
         if worker >= 0:
             lo, hi = self.partitions[(r, "diag")].rows(worker)
             with lock:
@@ -376,7 +382,7 @@ class MultContext:
         barrier.wait()
         if not task:
             if t == 0:
-                self._wait_and_unpack(r, recv_handles)
+                self._wait_and_unpack(r, posted, x)
             barrier.wait()
         if worker >= 0:
             lo, hi = self.partitions[(r, "off")].rows(worker)
@@ -387,20 +393,10 @@ class MultContext:
                 self.events.append(PhaseEvent("off", r, t, t0, perf_counter(),
                                               row_base + lo, row_base + hi))
 
-    def _post_exchange(self, r, x):
-        plan, fab = self.plan, self.fabric
-        handles = [fab.post_recv(r, src, len(plan.recv[r][src]))
-                   for src in plan.peers_in(r)]
-        for dst in plan.peers_out(r):
-            fab.post_send(r, dst, x[plan.send[r][dst]])
-        return handles
-
-    def _wait_and_unpack(self, r, recv_handles):
+    def _wait_and_unpack(self, r, posted, x):
         w0 = perf_counter()
-        payloads = self.fabric.wait_all(recv_handles)
-        ghost = self._ghost[r]
-        for k, src in enumerate(self.plan.peers_in(r)):
-            ghost[self.plan.recv_pos[r][src]] = payloads[k]
+        self.fabric.wait(posted, [len(idx) for idx in self.plan.recv[r].values()])
+        fill_ghost(self.plan, r, x, self._ghost[r])
         self.events.append(PhaseEvent("wait", r, 0, w0, perf_counter()))
 
 

@@ -11,6 +11,7 @@ slightly.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -89,11 +90,18 @@ def cg_solve(ctx: MultContext, b, rtol: float = DEFAULT_RTOL,
 
     Raises
     ------
+    ValueError
+        If ``rtol`` is not a finite number > 0 or ``max_iterations`` is
+        negative, before any multiply.
     CgBreakdownError
         If a search direction has non-positive curvature.
     SingularPreconditionerError
         If the matrix diagonal contains a zero.
     """
+    if not 0 < rtol < math.inf:
+        raise ValueError(f"rtol must be finite and > 0, got {rtol}")
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
     A = ctx.matrix
     if A.nrows != A.ncols:
         raise ValueError(f"cg needs a square matrix, got {A.nrows}x{A.ncols}")

@@ -204,10 +204,11 @@ def build_scatter_plan(layouts) -> ScatterPlan:
 
 
 def fill_ghost(plan: ScatterPlan, rank: int, x: np.ndarray, ghost: np.ndarray) -> None:
-    """Fill one rank's ghost buffer by simulating the exchange in place.
+    """Fill one rank's ghost buffer by gathering its peers' entries of ``x``.
 
-    Reference path used by tests and the sequential two-phase multiply;
-    the engine moves the same payloads through the fabric instead.
+    This is the exchange's unpack for the engine, which runs it once the
+    fabric has charged the latency, and for the sequential two-phase
+    multiply, which charges none.
     """
     for src in plan.peers_in(rank):
         ghost[plan.recv_pos[rank][src]] = x[plan.send[src][rank]]

@@ -113,6 +113,17 @@ def test_criterion_4_worked_partition_fixtures():
         assert optimal_contiguous_max_load(nnz, 2) == 8
 
 
+def alternating_medians(contexts, reps, measure):
+    """Median of ``measure(ctx)`` per context over ``reps`` rounds, each
+    round measuring every context in turn, so that all of them see the
+    same host state."""
+    runs = [[] for _ in contexts]
+    for _ in range(reps):
+        for ctx, out in zip(contexts, runs):
+            out.append(measure(ctx))
+    return [statistics.median(out) for out in runs]
+
+
 def test_criterion_5_overlap_demonstration():
     with criterion(5, "task model hides injected latency: median task time "
                       "<= 0.75 x median vector time at latency = diag time"):
@@ -127,22 +138,18 @@ def test_criterion_5_overlap_demonstration():
                 spans.append(max(t.diag_s for t in tms))
         L = statistics.median(spans)
         assert L > 0.005, f"diag phase unexpectedly fast ({L * 1e3:.2f} ms)"
-        latency = LatencyModel(per_message_s=L)
+        fab = Fabric(2, LatencyModel(per_message_s=L))
 
-        def median_multiply(model):
-            with create_context(A, ExecConfig(model, 2, 4),
-                                Fabric(2, latency)) as ctx:
-                for _ in range(3):
-                    ctx.mat_mult(x)
-                runs = []
-                for _ in range(5):
-                    t0 = time.perf_counter()
-                    ctx.mat_mult(x)
-                    runs.append(time.perf_counter() - t0)
-            return statistics.median(runs)
+        def timed_multiply(ctx):
+            t0 = time.perf_counter()
+            ctx.mat_mult(x)
+            return time.perf_counter() - t0
 
-        t_vector = median_multiply("vector")
-        t_task = median_multiply("task")
+        with create_context(A, ExecConfig("vector", 2, 4), fab) as vector, \
+                create_context(A, ExecConfig("task", 2, 4), fab) as task:
+            alternating_medians((vector, task), 3, timed_multiply)  # warm-up
+            t_vector, t_task = alternating_medians((vector, task), 5,
+                                                   timed_multiply)
         ratio = t_task / t_vector
         print(f"\n  diag span L={L * 1e3:.1f} ms, vector={t_vector * 1e3:.1f} ms, "
               f"task={t_task * 1e3:.1f} ms, ratio={ratio:.3f}")
@@ -157,17 +164,16 @@ def test_criterion_6_balanced_thread_benefit():
         x = np.random.default_rng(6006).uniform(-1.0, 1.0, A.ncols)
         ref = spmv_serial(A, x)
 
-        def median_max_thread(model):
-            with create_context(A, ExecConfig(model, 1, 4)) as ctx:
-                assert ctx.mat_mult(x).tobytes() == ref.tobytes()
-                runs = []
-                for _ in range(5):
-                    _, tms = ctx.mult_phase_timings(x)
-                    runs.append(max(max(t.diag_thread_s) for t in tms))
-            return statistics.median(runs)
+        def max_thread(ctx):
+            _, tms = ctx.mult_phase_timings(x)
+            return max(max(t.diag_thread_s) for t in tms)
 
-        t_equal = median_max_thread("task")
-        t_balanced = median_max_thread("task-balanced")
+        with create_context(A, ExecConfig("task", 1, 4)) as equal, \
+                create_context(A, ExecConfig("task-balanced", 1, 4)) as balanced:
+            for ctx in (equal, balanced):
+                assert ctx.mat_mult(x).tobytes() == ref.tobytes()
+            t_equal, t_balanced = alternating_medians((equal, balanced), 5,
+                                                      max_thread)
         ratio = t_balanced / t_equal
         print(f"\n  equal-rows={t_equal * 1e3:.2f} ms, "
               f"balanced={t_balanced * 1e3:.2f} ms, ratio={ratio:.3f}")

@@ -250,6 +250,17 @@ def test_cli_rejects_non_finite_latency(tmp_path, capsys):
             assert "finite" in capsys.readouterr().err
 
 
+def test_cli_cg_rejects_bad_tolerances(tmp_path, capsys):
+    mtx = tmp_path / "m.mtx"
+    main(["gen", "4", "4", "4", str(mtx)])
+    capsys.readouterr()
+    for flags in (["--rtol", "nan"], ["--rtol", "-1"], ["--rtol", "inf"],
+                  ["--max-iterations", "-2"]):
+        assert main(["cg", str(mtx)] + flags) == 2, flags
+        captured = capsys.readouterr()
+        assert "must be" in captured.err and captured.out == "", flags
+
+
 def test_append_record_closes_files(tmp_path):
     path = tmp_path / "r.csv"
     rec = BenchRecord("m", "serial", 1, 1, reps=1, median_s=0.5, flops=2,

@@ -229,14 +229,9 @@ def test_fabric_endpoint_count_checked():
 
 
 def test_worker_exception_surfaces():
-    # expected length disagreement at the fabric level: build a context on
-    # a shared fabric, then poison the matching queue with a wrong-length
-    # message before multiplying
     A = tridiagonal(6)
-    fab = create_fabric(2)
-    with create_context(A, ExecConfig("vector", 2, 2), fab) as ctx:
-        fab.post_send(1, 0, [1.0, 2.0, 3.0])  # rank 0 expects 1 element
-        with pytest.raises(ValueError, match="expected 1"):
+    with create_context(A, ExecConfig("vector", 2, 2), _FailingWaitFabric(2)) as ctx:
+        with pytest.raises(RuntimeError, match="injected wait failure"):
             ctx.mat_mult(np.ones(6))
         with pytest.raises(RuntimeError, match="closed or broken"):
             ctx.mat_mult(np.ones(6))
@@ -306,21 +301,21 @@ def test_task_never_slower_than_vector_at_half_latency():
     assert median_run("task") <= median_run("vector")
 
 
-class _FailingSendFabric(Fabric):
-    """Fabric whose sends from rank 1 fail, as a crashed peer would, late
-    enough that rank 0 is already blocked waiting for them."""
+class _FailingWaitFabric(Fabric):
+    """Fabric whose wait fails on rank 1's communication thread, as a
+    crashed peer's exchange would, 50 ms into the multiply."""
 
-    def post_send(self, src, dst, payload):
-        if src == 1:
+    def wait(self, posted, sizes):
+        if threading.current_thread().name == "spmv-r1t0":
             time.sleep(0.05)
-            raise RuntimeError("injected send failure")
-        super().post_send(src, dst, payload)
+            raise RuntimeError("injected wait failure")
+        super().wait(posted, sizes)
 
 
 @pytest.mark.parametrize("model,threads", [("task", 2), ("vector", 1)])
 def test_peer_failure_releases_every_thread(model, threads):
     A = extruded_laplacian(8, 8, 8)
-    ctx = create_context(A, ExecConfig(model, 2, threads), _FailingSendFabric(2))
+    ctx = create_context(A, ExecConfig(model, 2, threads), _FailingWaitFabric(2))
     with pytest.raises(RuntimeError, match="injected"):
         ctx.mat_mult(np.ones(A.ncols))
     t0 = time.perf_counter()
@@ -366,12 +361,14 @@ def test_row_sum_overflow_rejected_before_multiply():
                 assert ctx.mat_mult(x).tobytes() == spmv_serial(A, x).tobytes()
 
 
+def _start_rows_failing_on_r1t1(*args):
+    if threading.current_thread().name == "spmv-r1t1":
+        raise RuntimeError("injected kernel failure")
+    start_rows(*args)
+
+
 def test_kernel_failure_releases_every_thread(monkeypatch):
-    def failing_start_rows(*args):
-        if threading.current_thread().name == "spmv-r1t1":
-            raise RuntimeError("injected kernel failure")
-        start_rows(*args)
-    monkeypatch.setattr("spmvlab.engine.start_rows", failing_start_rows)
+    monkeypatch.setattr("spmvlab.engine.start_rows", _start_rows_failing_on_r1t1)
     A = extruded_laplacian(6, 6, 6)
     ctx = create_context(A, ExecConfig("vector", 2, 3))
     with pytest.raises(RuntimeError, match="injected kernel failure"):
@@ -380,6 +377,21 @@ def test_kernel_failure_releases_every_thread(monkeypatch):
     ctx.close()
     assert time.perf_counter() - t0 < 1.0
     assert _spmv_threads() == []
+
+
+def test_failed_multiply_leaves_shared_fabric_usable(monkeypatch):
+    monkeypatch.setattr("spmvlab.engine.start_rows", _start_rows_failing_on_r1t1)
+    A = extruded_laplacian(6, 6, 6)
+    x = np.random.default_rng(11).uniform(-1, 1, A.ncols)
+    fab = Fabric(2, LatencyModel(per_message_s=1e-3))
+    first = create_context(A, ExecConfig("vector", 2, 3), fab)
+    second = create_context(A, ExecConfig("task", 2, 3), fab)
+    with pytest.raises(RuntimeError, match="injected kernel failure"):
+        first.mat_mult(x)
+    monkeypatch.undo()
+    assert second.mat_mult(x).tobytes() == spmv_serial(A, x).tobytes()
+    first.close()
+    second.close()
 
 
 def test_thread_start_failure_releases_started_threads(monkeypatch):
@@ -400,18 +412,18 @@ def test_thread_start_failure_releases_started_threads(monkeypatch):
 
 
 class _GatedFabric(Fabric):
-    """Fabric whose ``wait_all`` holds until ``gate`` is set, so a test
-    can keep a multiply in flight."""
+    """Fabric whose ``wait`` holds until ``gate`` is set, so a test can
+    keep a multiply in flight."""
 
     def __init__(self, nranks):
         super().__init__(nranks)
         self.gate = threading.Event()
         self.waiting = threading.Event()
 
-    def wait_all(self, handles):
+    def wait(self, posted, sizes):
         self.waiting.set()
         assert self.gate.wait(timeout=10.0)
-        return super().wait_all(handles)
+        super().wait(posted, sizes)
 
 
 def test_overlapping_multiplies_restore_switch_interval():

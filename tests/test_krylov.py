@@ -118,6 +118,19 @@ def test_iteration_cap_honored_exactly():
     assert rep.spmv_count == 26
 
 
+def test_bad_tolerances_rejected_before_multiply():
+    A = extruded_laplacian(4, 4, 4)
+    with create_context(A, ExecConfig("serial")) as ctx:
+        for rtol in (float("nan"), float("inf"), -1.0, 0.0):
+            with pytest.raises(ValueError, match="rtol"):
+                cg_solve(ctx, np.ones(A.nrows), rtol=rtol)
+        with pytest.raises(ValueError, match="max_iterations"):
+            cg_solve(ctx, np.ones(A.nrows), max_iterations=-2)
+        assert ctx.events == []  # no multiply ran
+        _, rep = cg_solve(ctx, np.ones(A.nrows), max_iterations=0)
+    assert rep.iterations == 0 and rep.spmv_count == 1
+
+
 def test_breakdown_on_indefinite_matrix():
     A = csr_from_triplets([(0, 0, 1.0), (1, 1, -1.0)], 2, 2)
     with create_context(A, ExecConfig("serial")) as ctx:
