@@ -25,23 +25,21 @@ computes nothing, and after its share of the diagonal phase, between two
 rank barriers, under ``vector``.
 
 Every model produces output bit-identical to ``spmv_serial`` because row
-sums are exactly rounded by the two phase kernels in ``exact``, which
-``layout.two_phase_multiply`` runs too: each row is finalized by exactly
-one thread of exactly one rank, and the diagonal/off-diagonal grouping
-cannot change a correctly rounded result.
+sums are correctly rounded by the two phase kernels in ``exact``, which
+``layout.two_phase_multiply`` runs too, with a per-rank ``exact.RowSums``.
+Each row is finished by one thread of one rank, in the diagonal phase if
+it has no off-diagonal entry, and the grouping cannot change its result.
 
 Each multiply records where its time went in ``ctx.events``, one
-:class:`PhaseEvent` per thread and phase; per-rank timings and row
-ownership are views of it. The rank barrier is the only thing that
-orders phases. Within one rank's team, compute kernels run one at a time
-under a per-rank lock: the interpreter lock serializes Python-level
-compute anyway, so this costs no wall time, but a rank's compute events
-never overlap and each one's duration is its thread's actual share of
-work (per-thread CPU clocks are too coarse on some hosts to attribute
-millisecond phases). The communication wait is a real sleep and overlaps
-compute for real; during a multiply the interpreter switch interval is
-narrowed so a woken waiter does not stall behind a compute thread's full
-default time slice.
+:class:`PhaseEvent` per thread and phase, with its wall-clock span and,
+for compute, its thread's CPU time; per-rank timings and row ownership
+are views of it. The rank barrier is the only thing that orders phases.
+Within one rank's team, compute kernels run one at a time under a
+per-rank lock, so its compute events never overlap. The lock stays until
+removing it is measured: the kernels hold the interpreter lock between
+numpy calls. The communication wait is a real sleep and overlaps compute
+for real; during a multiply the interpreter switch interval is narrowed
+so a woken waiter does not stall behind a compute thread's time slice.
 
 Each multiply is one fork-join region, as an OpenMP ``MatMult`` is: its
 threads start and end inside ``mat_mult``. Thread partitions are computed
@@ -56,13 +54,14 @@ import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from time import perf_counter
+from time import perf_counter, thread_time
 from typing import NamedTuple
 
 import numpy as np
 
 from .balance import scheme_partition
-from .exact import check_products, finish_rows, start_rows
+from .exact import (RowSums, check_products, finish_rows, start_rows,
+                    vector_scale)
 from .fabric import Fabric, create_fabric
 from .layout import (build_all_layouts, build_scatter_plan, decompose_rows,
                      fill_ghost)
@@ -129,7 +128,7 @@ class PhaseEvent(NamedTuple):
     """One thread's pass through one phase of one multiply: ``"post"``
     (an instant: the exchange's latency starts), ``"wait"`` (latency
     plus unpack), or compute (``"diag"``, ``"off"``) over global rows
-    ``[lo, hi)``. Times are monotonic wall clock."""
+    ``[lo, hi)``. Times are wall clock; ``cpu`` is a kernel's thread time."""
 
     phase: str
     rank: int
@@ -138,6 +137,7 @@ class PhaseEvent(NamedTuple):
     end: float
     lo: int = 0
     hi: int = 0
+    cpu: float = 0.0
 
 
 @dataclass
@@ -146,11 +146,9 @@ class RankPhaseTimings:
 
     ``scatter_post_s`` is the post event's span (zero: posting only
     records the time), ``wait_s`` the latency wait plus ghost unpack,
-    ``diag_s`` and ``off_diag_s`` the full span of the compute phases.
-    The per-thread lists give each compute thread's own kernel duration,
-    in worker order; a rank's kernels run one at a time under its lock,
-    so these are true per-thread work times, not phase spans.
-    All values come from the monotonic wall clock.
+    ``diag_s`` and ``off_diag_s`` the full span of the compute phases, all
+    wall clock. The per-thread lists give each compute thread's CPU time
+    in its kernel, in worker order: its share of the work.
     """
 
     rank: int
@@ -222,6 +220,7 @@ class MultContext:
             self.plan = build_scatter_plan(self.layouts)
 
         self._closed = self._broken = False
+        self._row_abs_max = np.inf  # no fast input check without RowSums
         if not distributed:
             return
 
@@ -233,7 +232,8 @@ class MultContext:
                 self.partition_builds += 1
 
         self._ghost = [np.empty(len(lay.ghost_cols)) for lay in self.layouts]
-        self._partials = [[None] * lay.own.nrows for lay in self.layouts]
+        self._sums = [RowSums(lay.diag_block, lay.off_block) for lay in self.layouts]
+        self._row_abs_max = max(s.row_abs_max for s in self._sums)
         self._compute_locks = [threading.Lock() for _ in range(cfg.nranks)]
         self._busy = threading.Lock()
         self._rank_barriers = [threading.Barrier(cfg.threads_per_rank)
@@ -268,12 +268,13 @@ class MultContext:
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (A.ncols,):
             raise ValueError(f"vector length {x.shape} does not match ncols={A.ncols}")
-        check_products([(A, x)])
+        scale = vector_scale(x)
+        check_products([(A, x)], bound=self._row_abs_max * scale)
         if self.cfg.model == "serial":
-            w0 = perf_counter()
+            w0, c0 = perf_counter(), thread_time()
             y = spmv_serial(A, x)
-            w1 = perf_counter()
-            self.events = [PhaseEvent("diag", 0, 0, w0, w1, 0, A.nrows),
+            w1, c1 = perf_counter(), thread_time()
+            self.events = [PhaseEvent("diag", 0, 0, w0, w1, 0, A.nrows, c1 - c0),
                            PhaseEvent("off", 0, 0, w1, w1, 0, A.nrows)]
             return y
         if not self._busy.acquire(blocking=False):
@@ -287,7 +288,7 @@ class MultContext:
             started.wait()
             try:
                 if not errors:
-                    self._run(r, t, x, y)
+                    self._run(r, t, x, scale, y)
             except BaseException as e:
                 errors.append(e)
                 self._panic()
@@ -331,8 +332,8 @@ class MultContext:
             timings.append(RankPhaseTimings(
                 r, span.get("post", 0.0), span.get("diag", 0.0),
                 span.get("wait", 0.0), span.get("off", 0.0),
-                [e.end - e.begin for e in phases.get("diag", ())],
-                [e.end - e.begin for e in phases.get("off", ())]))
+                [e.cpu for e in phases.get("diag", ())],
+                [e.cpu for e in phases.get("off", ())]))
         return y, timings
 
     @property
@@ -351,7 +352,7 @@ class MultContext:
         for b in self._rank_barriers:
             b.abort()
 
-    def _run(self, r, t, x, y):
+    def _run(self, r, t, x, scale, y):
         """Thread ``t``'s share of one multiply on rank ``r``.
 
         Thread 0 posts the ghost exchange, which starts its latency. Under
@@ -360,38 +361,37 @@ class MultContext:
         Under ``vector`` every thread is worker ``t``, and thread 0 waits
         only after the diagonal phase, between two rank barriers.
         """
-        lay = self.layouts[r]
+        lay, sums = self.layouts[r], self._sums[r]
         barrier = self._rank_barriers[r]
         lock = self._compute_locks[r]
         task = self.cfg.model in TASK_MODELS
         worker = t - 1 if task else t
         row_base = lay.own.begin
         x_local = x[row_base:lay.own.end]
+
+        def compute(phase, kernel, *ghost):
+            lo, hi = self.partitions[(r, phase)].rows(worker)
+            with lock:
+                t0, c0 = perf_counter(), thread_time()
+                kernel(sums, lo, hi, x_local, *ghost, scale, y, row_base)
+                self.events.append(PhaseEvent(
+                    phase, r, t, t0, perf_counter(), row_base + lo,
+                    row_base + hi, thread_time() - c0))
+
         if t == 0:
             posted = perf_counter()
             self.events.append(PhaseEvent("post", r, 0, posted, posted))
             if task:
                 self._wait_and_unpack(r, posted, x)
         if worker >= 0:
-            lo, hi = self.partitions[(r, "diag")].rows(worker)
-            with lock:
-                t0 = perf_counter()
-                start_rows(lay.diag_block, lo, hi, x_local, self._partials[r])
-                self.events.append(PhaseEvent("diag", r, t, t0, perf_counter(),
-                                              row_base + lo, row_base + hi))
+            compute("diag", start_rows)
         barrier.wait()
         if not task:
             if t == 0:
                 self._wait_and_unpack(r, posted, x)
             barrier.wait()
         if worker >= 0:
-            lo, hi = self.partitions[(r, "off")].rows(worker)
-            with lock:
-                t0 = perf_counter()
-                finish_rows(lay.off_block, lo, hi, self._ghost[r],
-                            self._partials[r], y, row_base)
-                self.events.append(PhaseEvent("off", r, t, t0, perf_counter(),
-                                              row_base + lo, row_base + hi))
+            compute("off", finish_rows, self._ghost[r])
 
     def _wait_and_unpack(self, r, posted, x):
         w0 = perf_counter()

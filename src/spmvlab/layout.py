@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balance import equal_rows_partition, greedy_partition
-from .exact import check_products, finish_rows, start_rows
+from .exact import RowSums, check_products, finish_rows, start_rows, vector_scale
 from .sparse import CsrMatrix
 
 __all__ = [
@@ -220,18 +220,18 @@ def two_phase_multiply(layouts, plan: ScatterPlan, x: np.ndarray) -> np.ndarray:
     Each rank's rows run through the engine's two kernels, ``start_rows``
     on the diagonal block and then, once ``fill_ghost`` has gathered the
     ghost values per the scatter plan, ``finish_rows`` on the off-diagonal
-    block, after the engine's input check. Row sums are exactly rounded,
+    block, after each rank's input check. Row sums are correctly rounded,
     so the per-rank results equal ``spmv_serial`` bit for bit.
     """
     y = np.empty(layouts[-1].own.end)
-    ghosts = [np.empty(len(lay.ghost_cols)) for lay in layouts]
-    for lay, ghost in zip(layouts, ghosts):
+    scale = vector_scale(x)
+    for lay in layouts:
+        ghost = np.empty(len(lay.ghost_cols))
         fill_ghost(plan, lay.rank, x, ghost)
-        check_products([(lay.diag_block, x[lay.own.begin:lay.own.end]),
-                        (lay.off_block, ghost)], lay.own.begin)
-    for lay, ghost in zip(layouts, ghosts):
-        nrows = lay.own.nrows
-        partials = [None] * nrows
-        start_rows(lay.diag_block, 0, nrows, x[lay.own.begin:lay.own.end], partials)
-        finish_rows(lay.off_block, 0, nrows, ghost, partials, y, lay.own.begin)
+        x_local, nrows = x[lay.own.begin:lay.own.end], lay.own.nrows
+        check_products([(lay.diag_block, x_local), (lay.off_block, ghost)],
+                       lay.own.begin)
+        sums = RowSums(lay.diag_block, lay.off_block)
+        start_rows(sums, 0, nrows, x_local, scale, y, lay.own.begin)
+        finish_rows(sums, 0, nrows, x_local, ghost, scale, y, lay.own.begin)
     return y

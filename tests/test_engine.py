@@ -5,11 +5,11 @@ import time
 import numpy as np
 import pytest
 
-from spmvlab import (ExecConfig, Fabric, LatencyModel, MODELS, balance_stats,
-                     create_context, create_fabric, csr_from_triplets,
-                     extruded_laplacian, spmv_serial)
+from spmvlab import (ExecConfig, Fabric, LatencyModel, MODELS, arrowhead,
+                     balance_stats, create_context, create_fabric,
+                     csr_from_triplets, extruded_laplacian, spmv_serial)
 from spmvlab.engine import MAX_THREADS
-from spmvlab.exact import start_rows
+from spmvlab.exact import finish_rows, start_rows
 
 from helpers import identity_csr, random_spd_csr, tridiagonal
 
@@ -279,7 +279,7 @@ def test_task_never_slower_than_vector_at_half_latency():
     import statistics
     import time as _time
 
-    A = extruded_laplacian(12, 12, 24)
+    A = extruded_laplacian(12, 12, 768)
     x = np.random.default_rng(10).uniform(-1, 1, A.ncols)
     with create_context(A, ExecConfig("vector", 2, 4), create_fabric(2)) as ctx:
         ctx.mat_mult(x)
@@ -468,7 +468,7 @@ def test_phase_events_of_one_multiply(model):
             # one rank's kernels run one at a time under its lock
             assert all(a.end <= b.begin for a, b in zip(compute, compute[1:]))
             by_thread = sorted(compute, key=lambda e: e.thread)
-            assert threads == [e.end - e.begin for e in by_thread]
+            assert threads == [e.cpu for e in by_thread]
             assert span == compute[-1].end - compute[0].begin
             assert len(compute) == (1 if model == "serial" else cfg.worker_count)
         if model != "serial":
@@ -476,3 +476,79 @@ def test_phase_events_of_one_multiply(model):
                     if e.phase in ("post", "wait")] == [("post", 0, 0, 0),
                                                         ("wait", 0, 0, 0)]
     assert len(tms) == (1 if model == "serial" else 2)
+
+
+def test_thread_times_are_cpu_times(monkeypatch):
+    # a kernel that sleeps is charged its wall time in the phase span but
+    # only its CPU time in the per-thread list
+    def sleeping(*args):
+        time.sleep(0.02)
+        start_rows(*args)
+    monkeypatch.setattr("spmvlab.engine.start_rows", sleeping)
+    A = extruded_laplacian(4, 4, 4)
+    with create_context(A, ExecConfig("task", 1, 2)) as ctx:
+        y, (tm,) = ctx.mult_phase_timings(np.ones(A.ncols))
+    assert y.tobytes() == spmv_serial(A, np.ones(A.ncols)).tobytes()
+    assert tm.diag_s >= 0.02
+    assert tm.diag_thread_s[0] < 0.005
+
+
+def _rows_written_by_off_phase(monkeypatch, A, cfg, x):
+    """Global rows that the off-diagonal kernels write in one multiply."""
+    written = []
+
+    def probing(sums, lo, hi, x_local, ghost, scale, y, row_base):
+        probe = np.full_like(y, np.nan)
+        finish_rows(sums, lo, hi, x_local, ghost, scale, probe, row_base)
+        written.extend(np.flatnonzero(~np.isnan(probe)).tolist())
+        finish_rows(sums, lo, hi, x_local, ghost, scale, y, row_base)
+    monkeypatch.setattr("spmvlab.engine.finish_rows", probing)
+    with create_context(A, cfg) as ctx:
+        assert ctx.mat_mult(x).tobytes() == spmv_serial(A, x).tobytes()
+        layouts = ctx.layouts
+    return sorted(written), layouts
+
+
+def test_off_phase_writes_only_rows_with_off_entries(monkeypatch):
+    A = arrowhead(4096)
+    x = np.random.default_rng(12).uniform(-1, 1, A.ncols)
+    written, _ = _rows_written_by_off_phase(
+        monkeypatch, A, ExecConfig("task-balanced", 1, 4), x)
+    assert written == []
+
+    A = extruded_laplacian(6, 6, 6)
+    x = np.random.default_rng(13).uniform(-1, 1, A.ncols)
+    written, layouts = _rows_written_by_off_phase(
+        monkeypatch, A, ExecConfig("vector", 3, 2), x)
+    with_off = [lay.own.begin + int(i) for lay in layouts
+                for i in np.flatnonzero(lay.off_block.row_nnz())]
+    assert written == with_off and len(with_off) > 0
+
+
+def test_input_check_bound_that_trips_still_multiplies_exactly():
+    # max_i sum_j |A_ij| times max |x| passes the overflow limit, though
+    # every row's products are small: the full check runs and accepts
+    A = csr_from_triplets([(0, 0, 1e300), (0, 1, 1.0), (1, 0, 1.0),
+                           (1, 1, 2.0)], 2, 2)
+    x = np.array([1e-300, 1e10])
+    ref = spmv_serial(A, x)
+    for model in MODELS:
+        with create_context(A, ExecConfig(model, 2, 2)) as ctx:
+            assert ctx.mat_mult(x).tobytes() == ref.tobytes()
+
+
+def test_unused_non_finite_input_multiplies_exactly():
+    # the last column is empty, so x[-1] enters no product, and the
+    # kernels must not take their scale from it
+    rng = np.random.default_rng(14)
+    n = 40
+    triplets = [(i, j, float(v)) for i in range(n) for j in range(n - 1)
+                for v in [rng.uniform(-1, 1)] if j == i or rng.random() < 0.3]
+    A = csr_from_triplets(triplets, n, n)
+    for bad in (np.inf, np.nan):
+        x = rng.uniform(-1, 1, n) * 1e6
+        x[-1] = bad
+        ref = spmv_serial(A, x)
+        for model in MODELS:
+            with create_context(A, ExecConfig(model, 2, 2)) as ctx:
+                assert ctx.mat_mult(x).tobytes() == ref.tobytes()
