@@ -25,7 +25,10 @@ from .sparse import CsrMatrix, SparseFormatError, csr_from_arrays
 __all__ = ["read_matrix_market", "write_matrix_market"]
 
 _BANNER = "%%MatrixMarket"
-_WRITE_CHUNK = 1 << 16
+# Small enough that a chunk's Python objects fit in the one empty arena
+# CPython's allocator keeps, so writing does not map and fault in fresh
+# memory chunk after chunk, whatever objects the caller holds.
+_WRITE_CHUNK = 1 << 12
 
 
 def read_matrix_market(source) -> CsrMatrix:

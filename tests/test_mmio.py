@@ -1,12 +1,16 @@
 import io
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spmvlab
 from spmvlab import (SparseFormatError, csr_from_triplets, extruded_laplacian,
                      read_matrix_market, write_matrix_market)
 
@@ -100,13 +104,32 @@ def test_write_empty_matrix():
 
 
 def test_write_spans_chunks():
-    A = extruded_laplacian(20, 20, 25)  # 67,200 entries: two write chunks
+    A = extruded_laplacian(20, 20, 25)  # 67,200 entries: 17 write chunks
     rows = np.repeat(np.arange(A.nrows), A.row_nnz())
     text = write_matrix_market(A)
     assert text.split("\n", 2)[2] == "".join(
         f"{i + 1} {j + 1} {v!r}\n"
         for i, j, v in zip(rows.tolist(), A.col_indices.tolist(), A.values.tolist()))
     assert csr_equal(A, _read(text))
+
+
+def test_write_reuses_its_memory_from_chunk_to_chunk():
+    # a fresh interpreter, whose allocator state no other test has touched
+    src = str(Path(spmvlab.__file__).resolve().parents[1])
+    code = (f"import resource, sys; sys.path.insert(0, {src!r})\n"
+            "from spmvlab import extruded_laplacian, write_matrix_market\n"
+            "A = extruded_laplacian(20, 20, 25)\n"
+            "write_matrix_market(A)\n"
+            "f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "text = write_matrix_market(A)\n"
+            "f1 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "print(f1 - f0, len(text))\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    faults, size = map(int, run.stdout.split())
+    # the text and its row indices need fresh pages; the per-entry objects,
+    # which the allocator frees and reuses chunk after chunk, should not
+    assert faults < 4 * size / 4096
 
 
 def test_round_trip_random_20x20_exact():
