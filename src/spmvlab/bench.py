@@ -88,12 +88,15 @@ class BenchRecord:
 
     @classmethod
     def from_csv_row(cls, row) -> "BenchRecord":
+        if len(row) != len(CSV_HEADER) or row[10] not in ("", "true", "false"):
+            raise ValueError(f"not {len(CSV_HEADER)} fields with converged "
+                             f"'', true or false: {row}")
         return cls(
             matrix=row[0], model=row[1], nranks=int(row[2]), threads=int(row[3]),
             reps=int(row[4]), median_s=float(row[5]), flops=int(row[6]),
             gflops=float(row[7]), efficiency=float(row[8]),
             iterations=int(row[9]) if row[9] else None,
-            converged={"true": True, "false": False}.get(row[10]),
+            converged=row[10] == "true" if row[10] else None,
             error=row[11],
         )
 
@@ -195,17 +198,23 @@ def with_efficiency(record: BenchRecord, baseline: BenchRecord | None) -> BenchR
 
 
 def load_records(path) -> list[BenchRecord]:
-    """Read all records from a CSV file; empty or missing file gives []."""
+    """Read all records from a CSV file; empty or missing file gives [].
+    A malformed row raises ``ValueError`` naming its line."""
     try:
         with open(path, "r", newline="") as f:
-            rows = list(csv.reader(f))
+            reader = csv.reader(f)
+            rows = [(reader.line_num, row) for row in reader]
     except FileNotFoundError:
         return []
-    if not rows:
-        return []
-    if tuple(rows[0]) != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header in {path}: {rows[0]}")
-    return [BenchRecord.from_csv_row(r) for r in rows[1:]]
+    if rows and tuple(rows[0][1]) != CSV_HEADER:
+        raise ValueError(f"unexpected CSV header in {path}: {rows[0][1]}")
+    records = []
+    for line, row in rows[1:]:
+        try:
+            records.append(BenchRecord.from_csv_row(row))
+        except ValueError as e:
+            raise ValueError(f"{path}, line {line}: {e}") from None
+    return records
 
 
 def find_baseline(records, record: BenchRecord) -> BenchRecord | None:

@@ -33,13 +33,10 @@ it has no off-diagonal entry, and the grouping cannot change its result.
 Each multiply records where its time went in ``ctx.events``, one
 :class:`PhaseEvent` per thread and phase, with its wall-clock span and,
 for compute, its thread's CPU time; per-rank timings and row ownership
-are views of it. The rank barrier is the only thing that orders phases.
-Within one rank's team, compute kernels run one at a time under a
-per-rank lock, so its compute events never overlap. The lock stays until
-removing it is measured: the kernels hold the interpreter lock between
-numpy calls. The communication wait is a real sleep and overlaps compute
-for real; during a multiply the interpreter switch interval is narrowed
-so a woken waiter does not stall behind a compute thread's time slice.
+are views of it. The rank barrier is the only thing that orders phases:
+one rank's threads run their kernels at once, on disjoint rows of ``y``
+and of the rank's ``RowSums``, so its compute events may overlap. The
+communication wait is a real sleep and overlaps compute for real.
 
 Each multiply is one fork-join region, as an OpenMP ``MatMult`` is: its
 threads start and end inside ``mat_mult``. Thread partitions are computed
@@ -50,9 +47,7 @@ scheduler (no pinning, no memory-domain control at desk scale).
 
 from __future__ import annotations
 
-import sys
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter, thread_time
 from typing import NamedTuple
@@ -160,31 +155,6 @@ class RankPhaseTimings:
     off_thread_s: list = field(default_factory=list)
 
 
-_switch_lock = threading.Lock()
-_switch_users = 0
-_switch_saved = 0.0
-
-
-@contextmanager
-def _narrow_switch_interval():
-    """Narrow the process-wide switch interval so a woken communication
-    thread need not sit out a full default slice before it unpacks.
-    Overlapping multiplies share it: the last to finish restores it."""
-    global _switch_users, _switch_saved
-    with _switch_lock:
-        if _switch_users == 0:
-            _switch_saved = sys.getswitchinterval()
-            sys.setswitchinterval(5e-4)
-        _switch_users += 1
-    try:
-        yield
-    finally:
-        with _switch_lock:
-            _switch_users -= 1
-            if _switch_users == 0:
-                sys.setswitchinterval(_switch_saved)
-
-
 class MultContext:
     """Precomputed layouts, scatter plan, and partitions.
 
@@ -234,7 +204,6 @@ class MultContext:
         self._ghost = [np.empty(len(lay.ghost_cols)) for lay in self.layouts]
         self._sums = [RowSums(lay.diag_block, lay.off_block) for lay in self.layouts]
         self._row_abs_max = max(s.row_abs_max for s in self._sums)
-        self._compute_locks = [threading.Lock() for _ in range(cfg.nranks)]
         self._busy = threading.Lock()
         self._rank_barriers = [threading.Barrier(cfg.threads_per_rank)
                                for _ in range(cfg.nranks)]
@@ -297,16 +266,15 @@ class MultContext:
                    for r in range(self.cfg.nranks)
                    for t in range(self.cfg.threads_per_rank)]
         try:
-            with _narrow_switch_interval():
-                try:
-                    for th in threads:
-                        th.start()
-                except BaseException as e:
-                    errors.append(e)
-                started.set()
+            try:
                 for th in threads:
-                    if th.is_alive():
-                        th.join()
+                    th.start()
+            except BaseException as e:
+                errors.append(e)
+            started.set()
+            for th in threads:
+                if th.is_alive():
+                    th.join()
             if errors:
                 self._broken = True
                 raise errors[0]
@@ -322,7 +290,7 @@ class MultContext:
         """
         y = self.mat_mult(x)
         by_rank = {}
-        # a rank's compute events arrive in lock order; list them by thread
+        # threads append their events as they finish; list them by thread
         for e in sorted(self.events, key=lambda e: e.thread):
             by_rank.setdefault(e.rank, {}).setdefault(e.phase, []).append(e)
         timings = []
@@ -363,7 +331,6 @@ class MultContext:
         """
         lay, sums = self.layouts[r], self._sums[r]
         barrier = self._rank_barriers[r]
-        lock = self._compute_locks[r]
         task = self.cfg.model in TASK_MODELS
         worker = t - 1 if task else t
         row_base = lay.own.begin
@@ -371,12 +338,11 @@ class MultContext:
 
         def compute(phase, kernel, *ghost):
             lo, hi = self.partitions[(r, phase)].rows(worker)
-            with lock:
-                t0, c0 = perf_counter(), thread_time()
-                kernel(sums, lo, hi, x_local, *ghost, scale, y, row_base)
-                self.events.append(PhaseEvent(
-                    phase, r, t, t0, perf_counter(), row_base + lo,
-                    row_base + hi, thread_time() - c0))
+            t0, c0 = perf_counter(), thread_time()
+            kernel(sums, lo, hi, x_local, *ghost, scale, y, row_base)
+            self.events.append(PhaseEvent(
+                phase, r, t, t0, perf_counter(), row_base + lo,
+                row_base + hi, thread_time() - c0))
 
         if t == 0:
             posted = perf_counter()

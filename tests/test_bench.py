@@ -306,3 +306,20 @@ def test_cli_rejects_oversize_thread_count(tmp_path, capsys):
                "--threads", "100", "--reps", "1"])
     assert rc == 2
     assert "thread limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [
+    "m.mtx,serial,1,1,2,0.001,64",
+    "m.mtx,serial,1,1,2,0.001,64,6.4e-05,1.0,,maybe,",
+], ids=["too-few-fields", "converged-not-a-bool"])
+def test_cli_rejects_malformed_csv_row(tmp_path, capsys, bad):
+    mtx = tmp_path / "m.mtx"
+    csv_path = tmp_path / "r.csv"
+    main(["gen", "2", "2", "2", str(mtx)])
+    assert main(["spmv", str(mtx), "--reps", "2", "--csv", str(csv_path)]) == 0
+    csv_path.write_text(csv_path.read_text() + bad + "\r\n")
+    before = csv_path.read_text()
+    capsys.readouterr()
+    assert main(["spmv", str(mtx), "--reps", "2", "--csv", str(csv_path)]) == 2
+    assert "line 3" in capsys.readouterr().err
+    assert csv_path.read_text() == before
