@@ -39,10 +39,12 @@ and of the rank's ``RowSums``, so its compute events may overlap. The
 communication wait is a real sleep and overlaps compute for real.
 
 Each multiply is one fork-join region, as an OpenMP ``MatMult`` is: its
-threads start and end inside ``mat_mult``. Thread partitions are computed
-once at context creation and cached with the context, keyed by rank and
-block (``"diag"`` or ``"off"``). Thread placement is left to the host
-scheduler (no pinning, no memory-domain control at desk scale).
+threads start and end inside ``mat_mult``, and the caller acts as rank 0's
+thread 0, as an OpenMP master thread does, so a 1 x 1 multiply starts no
+thread. Thread partitions are computed once at context creation and
+cached with the context, keyed by rank and block (``"diag"`` or
+``"off"``). Thread placement is left to the host scheduler (no pinning,
+no memory-domain control at desk scale).
 """
 
 from __future__ import annotations
@@ -264,7 +266,7 @@ class MultContext:
 
         threads = [threading.Thread(target=work, args=(r, t), name=f"spmv-r{r}t{t}")
                    for r in range(self.cfg.nranks)
-                   for t in range(self.cfg.threads_per_rank)]
+                   for t in range(self.cfg.threads_per_rank) if r or t]
         try:
             try:
                 for th in threads:
@@ -272,6 +274,7 @@ class MultContext:
             except BaseException as e:
                 errors.append(e)
             started.set()
+            work(0, 0)  # the caller is rank 0's thread 0
             for th in threads:
                 if th.is_alive():
                     th.join()

@@ -18,9 +18,18 @@ where ``s1`` overflows or ``s2`` nears the subnormal range, the row's
 products. ``start_rows`` finishes rows with no off-diagonal entry, and
 ``finish_rows`` the others; the engine and ``layout.two_phase_multiply``
 run them after ``check_products``, as overflow breaks the splitting.
+
+Each phase walks its rows as slices of a width fixed per block, its
+median row length, stored slot-major and padded with zeros (the SELL-C-σ
+layout of Kreutzer et al., SISC 2014). So a chunk of slices costs a few
+numpy calls: one gather of ``x``, one product, the two extraction steps
+with each slice's ``s1`` and ``s2`` broadcast over its slots, and a sum
+per slot column; a row longer than the width spans several slices, and
+only then are its slices' sums folded, by ``np.add.reduceat``.
 """
 
 from math import frexp, fsum, inf, ldexp
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,35 +40,70 @@ __all__ = ["RowSums", "vector_scale", "start_rows", "finish_rows",
 # the margin below the largest double covers the check's own rounding.
 _ROW_SUM_LIMIT = np.finfo(np.float64).max * (1 - 2.0**-20)
 _TINY = 2.0**-1000
-_CHUNK = 1 << 15  # entries split at a time, which bounds the scratch
+_CHUNK = 1 << 16  # slots of slices split at a time, which bounds the scratch
+
+
+class _Slices(NamedTuple):
+    """Walked rows cut into slices of ``width`` entries, slot-major: slice
+    ``s`` holds ``values[:, s]`` and ``cols[:, s]``, padded with 0.0 at a
+    column the block uses, belongs to walked row ``row[s]`` and carries its
+    unscaled ``(s1, s2)`` in ``sigma[:, s]``; walked row ``k`` owns slices
+    ``first[k]:first[k + 1]``, at least one (of width 0 if the block has no
+    entry)."""
+
+    values: np.ndarray
+    cols: np.ndarray
+    row: np.ndarray
+    sigma: np.ndarray
+    first: np.ndarray
+
+
+def _slices(block, offsets, sigma):
+    """Slices of the walked rows ``k``, entries ``offsets[k]:offsets[k + 1]``
+    of ``block``, as wide as their median length."""
+    n = np.diff(offsets)
+    width = max(1, int(np.median(n))) if block.nnz else 0
+    count = np.maximum(-(-n // max(width, 1)), 1)
+    first = np.concatenate([[0], np.cumsum(count)])
+    row = np.repeat(np.arange(len(n)), count)
+    end = offsets[row + 1]
+    pos = offsets[row] + (np.arange(first[-1]) - first[row]) * width
+    pos = pos + np.arange(width)[:, None]
+    pad = pos >= end
+    # a pad reads its row's last entry, or an empty row a neighbour's
+    np.minimum(pos, np.maximum(end - 1, 0), out=pos)
+    values = np.take(block.values, pos)
+    values[pad] = 0.0
+    cols = np.take(block.col_indices, pos)
+    if block.ncols <= np.iinfo(np.int32).max:
+        cols = cols.astype(np.int32)  # gathers as fast, in half the memory
+    return _Slices(values, cols, row, np.take(sigma, row, axis=1), first)
 
 
 class RowSums:
     """One rank's row-sum state: ``parts``, each row's ``(t1, t2)``;
-    ``row_abs_max``, the largest ``sum_j |A_ij|``; and each phase's walk
-    ``(block, offsets, ids, sigma)`` over all rows or ``off_rows``: walked
-    row ``k`` has entries ``offsets[k]:offsets[k + 1]``, marked ``k`` in
-    ``ids``, and its unscaled ``(s1, s2)`` in ``sigma[:, k]``."""
+    ``row_abs_max``, the largest ``sum_j |A_ij|``; and each phase's walk,
+    the :class:`_Slices` of all rows or of ``off_rows``."""
 
     def __init__(self, diag, off):
         self.diag, self.off = diag, off
         nnz, off_nnz = diag.row_nnz(), off.row_nnz()
         self.off_rows = np.flatnonzero(off_nnz)
-        ids = np.repeat(np.arange(diag.nrows), nnz)
-        off_ids = np.repeat(np.arange(len(self.off_rows)), off_nnz[self.off_rows])
+        off_offsets = off.row_offsets[np.append(self.off_rows, off.nrows)]
         with np.errstate(over="ignore"):  # to inf, which certifies no row
-            row_abs = np.bincount(ids, np.abs(diag.values), diag.nrows) * 1.0  # float if empty
-            row_abs[self.off_rows] += np.bincount(off_ids, np.abs(off.values),
-                                                  len(self.off_rows))
+            row_abs = np.bincount(np.repeat(np.arange(diag.nrows), nnz),
+                                  np.abs(diag.values), diag.nrows) * 1.0  # float if empty
+            row_abs[self.off_rows] += np.bincount(
+                np.repeat(np.arange(len(self.off_rows)), off_nnz[self.off_rows]),
+                np.abs(off.values), len(self.off_rows))
             e = np.frexp(row_abs)[1] + 1
             m = np.frexp(2 * (nnz + off_nnz) - 1)[1]
             sigma = np.ldexp(1.0, np.stack([e, e + m - 53]))
         sigma[:, np.isinf(row_abs)] = inf
         self.row_abs_max = float(np.max(row_abs, initial=0.0))
         self.sigma2_min = float(np.min(sigma[1], initial=inf))
-        self.diag_walk = (diag, diag.row_offsets, ids, sigma)
-        self.off_walk = (off, off.row_offsets[np.append(self.off_rows, off.nrows)],
-                         off_ids, sigma[:, self.off_rows])
+        self.diag_walk = _slices(diag, diag.row_offsets, sigma)
+        self.off_walk = _slices(off, off_offsets, sigma[:, self.off_rows])
         self.parts = np.empty((2, diag.nrows))
 
 
@@ -70,27 +114,34 @@ def vector_scale(x) -> float:
 
 
 def _sum_rows(sums, walk, lo, hi, v, scale, t):
-    """Add the ``q1`` and ``q2`` sums of walked rows ``[lo, hi)`` to ``t``;
+    """Write the ``q1`` and ``q2`` sums of walked rows ``[lo, hi)`` to ``t``;
     return ``{i: nonzero r2}``, NaN where ``s1`` or ``s2`` is out of range."""
-    block, offsets, ids, sigma = walk
-    rests, end = {}, int(offsets[hi])
-    for c0 in range(int(offsets[lo]), end, _CHUNK):
-        c1 = min(c0 + _CHUNK, end)
-        k = ids[c0:c1]
+    rests, end = {}, int(walk.first[hi])
+    step = max(1, _CHUNK // max(1, len(walk.values)))
+    for c0 in range(int(walk.first[lo]), end, step):
+        c1 = min(c0 + step, end)
         with np.errstate(over="ignore", invalid="ignore"):
-            p = block.values[c0:c1] * v[block.col_indices[c0:c1]]
-            q = np.take(sigma, k, axis=1) * scale
+            p = np.take(v, walk.cols[:, c0:c1])
+            p *= walk.values[:, c0:c1]
+            q = walk.sigma[:, c0:c1] * scale
             if sums.sigma2_min * scale < _TINY:
-                p[q[1] < _TINY] = np.nan  # stays NaN in r2
-            for s in q:  # s becomes q1, then q2; p becomes r1, then r2
+                p[:, q[1] < _TINY] = np.nan  # stays NaN in r2
+            for s in q:  # s becomes the slices' q1 sums, then q2 sums
                 w = s + p
-                np.subtract(w, s, out=s)
-                p -= s
-        for j in (0, 1):  # a row split over chunks still sums exactly
-            t[j, k[0] - lo:k[-1] + 1 - lo] += np.bincount(k - k[0], q[j])
-        nz = np.flatnonzero(p)
-        for i, r in zip((k[nz] - lo).tolist(), p[nz].tolist()):
-            rests.setdefault(i, []).append(r)
+                w -= s
+                p -= w  # p becomes r1, then r2
+                w.sum(axis=0, out=s)
+        r0, r1 = walk.row[c0], walk.row[c1 - 1] + 1
+        if r1 - r0 < c1 - c0:  # fold each row's slices: any partial sum is exact
+            q = np.add.reduceat(q, np.append(0, walk.first[r0 + 1:r1] - c0), axis=1)
+        cont = int(walk.first[r0] < c0)  # the last chunk's row goes on
+        if cont:
+            t[:, r0 - lo] += q[:, 0]
+        t[:, r0 - lo + cont:r1 - lo] = q[:, cont:]
+        if p.any():
+            slot, sl = np.nonzero(p)
+            for i, r in zip((walk.row[c0 + sl] - lo).tolist(), p[slot, sl].tolist()):
+                rests.setdefault(i, []).append(r)
     return rests
 
 
@@ -112,7 +163,6 @@ def start_rows(sums, lo, hi, x_local, scale, y, row_base):
     ``x_local`` and write ``fl(t1 + t2)`` to ``y[row_base + row]``, final
     for rows with no off-diagonal entry. ``scale`` is ``vector_scale(x)``."""
     t = sums.parts[:, lo:hi]
-    t[...] = 0.0
     rests = _sum_rows(sums, sums.diag_walk, lo, hi, x_local, scale, t)
     out = np.add(t[0], t[1], out=y[row_base + lo:row_base + hi])
     off = sums.off.row_offsets
@@ -128,8 +178,9 @@ def finish_rows(sums, lo, hi, x_local, ghost, scale, y, row_base):
     row with off-diagonal entries and write it to ``y[row_base + row]``."""
     a, b = np.searchsorted(sums.off_rows, (lo, hi))
     rows = sums.off_rows[a:b]
-    u = sums.parts[:, rows]
+    u = np.empty((2, b - a))
     rests = _sum_rows(sums, sums.off_walk, a, b, ghost, scale, u)
+    u += sums.parts[:, rows]
     s = u[0] + u[1]
     for i in rests.keys() | np.flatnonzero(np.isnan(s)).tolist():
         s[i] = _fsum_row(sums, int(rows[i]), u[:, i], rests.get(i, []),

@@ -130,7 +130,8 @@ def build_rank_layout(A: CsrMatrix, ranges, rank: int) -> RankLayout:
     diagonal block; the rest go to the off-diagonal block with columns
     compacted through ``ghost_cols``. Per-row column order is preserved
     in both blocks, so reassembling all ranks' blocks reproduces the
-    global matrix entry for entry.
+    global matrix entry for entry. A rank with no off-diagonal entry
+    shares ``A``'s arrays where it can.
     """
     _check_ranges(ranges, A.nrows)
     own = ranges[rank]
@@ -138,20 +139,23 @@ def build_rank_layout(A: CsrMatrix, ranges, rank: int) -> RankLayout:
     p0, p1 = int(A.row_offsets[lo]), int(A.row_offsets[hi])
     cols = A.col_indices[p0:p1]
     vals = A.values[p0:p1]
-    sub_offsets = A.row_offsets[lo:hi + 1] - p0
+    sub_offsets = A.row_offsets[lo:hi + 1]
+    if p0:
+        sub_offsets = sub_offsets - p0
     in_diag = (cols >= lo) & (cols < hi)
+    off_pos = np.flatnonzero(~in_diag)
+    off_offsets = np.searchsorted(off_pos, sub_offsets)
+    if len(off_pos):
+        diag = CsrMatrix(own.nrows, own.nrows, sub_offsets - off_offsets,
+                         cols[in_diag] - lo, vals[in_diag])
+    else:
+        diag = CsrMatrix(own.nrows, own.nrows, sub_offsets,
+                         cols - lo if lo else cols, vals)
 
-    diag_cum = np.concatenate([[0], np.cumsum(in_diag)])
-    off_cum = np.concatenate([[0], np.cumsum(~in_diag)])
-    diag = CsrMatrix(own.nrows, own.nrows,
-                     diag_cum[sub_offsets], cols[in_diag] - lo, vals[in_diag])
-
-    off_cols_global = cols[~in_diag]
+    off_cols_global = cols[off_pos]
     ghost_cols = np.unique(off_cols_global)
-    off = CsrMatrix(own.nrows, len(ghost_cols),
-                    off_cum[sub_offsets],
-                    np.searchsorted(ghost_cols, off_cols_global),
-                    vals[~in_diag])
+    off = CsrMatrix(own.nrows, len(ghost_cols), off_offsets,
+                    np.searchsorted(ghost_cols, off_cols_global), vals[off_pos])
     ghost_cols.flags.writeable = False
     return RankLayout(rank, own, diag, off, ghost_cols)
 

@@ -279,7 +279,7 @@ def test_task_never_slower_than_vector_at_half_latency():
     import statistics
     import time as _time
 
-    A = extruded_laplacian(12, 12, 768)
+    A = extruded_laplacian(12, 12, 1536)
     x = np.random.default_rng(10).uniform(-1, 1, A.ncols)
     with create_context(A, ExecConfig("vector", 2, 4), create_fabric(2)) as ctx:
         ctx.mat_mult(x)
@@ -411,6 +411,25 @@ def test_thread_start_failure_releases_started_threads(monkeypatch):
     assert _spmv_threads() == []
 
 
+@pytest.mark.parametrize("model,nranks,threads", [
+    ("vector", 1, 1), ("vector", 2, 1), ("vector", 1, 2), ("task", 1, 2),
+    ("task-balanced", 2, 3)])
+def test_caller_runs_rank_0_thread_0(monkeypatch, model, nranks, threads):
+    starts = []
+    start = threading.Thread.start
+
+    def counting_start(self):
+        starts.append(self.name)
+        start(self)
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    A = extruded_laplacian(4, 4, 4)
+    x = np.linspace(-1.0, 1.0, A.ncols)
+    with create_context(A, ExecConfig(model, nranks, threads)) as ctx:
+        assert ctx.mat_mult(x).tobytes() == spmv_serial(A, x).tobytes()
+    assert len(starts) == nranks * threads - 1
+    assert "spmv-r0t0" not in starts
+
+
 @pytest.mark.parametrize("model", MODELS)
 def test_phase_events_of_one_multiply(model):
     A = extruded_laplacian(4, 4, 4)
@@ -530,17 +549,19 @@ def test_input_check_bound_that_trips_still_multiplies_exactly():
 
 
 def test_unused_non_finite_input_multiplies_exactly():
-    # the last column is empty, so x[-1] enters no product, and the
-    # kernels must not take their scale from it
+    # the last column is empty, so x[-1] enters no product and must not
+    # reach y; in the second matrix the first column is empty too, and
+    # x[0] enters no product either
     rng = np.random.default_rng(14)
     n = 40
-    triplets = [(i, j, float(v)) for i in range(n) for j in range(n - 1)
-                for v in [rng.uniform(-1, 1)] if j == i or rng.random() < 0.3]
-    A = csr_from_triplets(triplets, n, n)
-    for bad in (np.inf, np.nan):
-        x = rng.uniform(-1, 1, n) * 1e6
-        x[-1] = bad
-        ref = spmv_serial(A, x)
-        for model in MODELS:
-            with create_context(A, ExecConfig(model, 2, 2)) as ctx:
-                assert ctx.mat_mult(x).tobytes() == ref.tobytes()
+    for first in (0, 1):  # the first used column
+        triplets = [(i, j, float(v)) for i in range(n) for j in range(first, n - 1)
+                    for v in [rng.uniform(-1, 1)] if j == i or rng.random() < 0.3]
+        A = csr_from_triplets(triplets, n, n)
+        for bad in (np.inf, np.nan):
+            x = rng.uniform(-1, 1, n) * 1e6
+            x[:first] = x[-1] = bad
+            ref = spmv_serial(A, x)
+            for model in MODELS:
+                with create_context(A, ExecConfig(model, 2, 2)) as ctx:
+                    assert ctx.mat_mult(x).tobytes() == ref.tobytes()

@@ -52,9 +52,9 @@ def _chunks(draw, nrows):
     return list(zip(bounds, bounds[1:]))
 
 
-def check_rows(rows, draw):
+def check_rows(rows, draw, slice_chunks=(1, 2, 3, 7, spmvlab.exact._CHUNK)):
     """Run both kernels over randomly chunked rows, as a rank's threads
-    would, with entry chunks that split rows, and compare each row with
+    would, with slice chunks that split rows, and compare each row with
     ``fsum`` of its products."""
     diag, x_local = _block(rows, True)
     off, ghost = _block(rows, False)
@@ -65,7 +65,7 @@ def check_rows(rows, draw):
     scale = vector_scale(np.concatenate([x_local, ghost]))
     y = np.full(row_base + nrows, np.nan)
     entry_chunk = spmvlab.exact._CHUNK
-    spmvlab.exact._CHUNK = draw(st.sampled_from([1, 2, 3, 7, entry_chunk]))
+    spmvlab.exact._CHUNK = draw(st.sampled_from(slice_chunks))
     try:
         for lo, hi in _chunks(draw, nrows):
             start_rows(sums, lo, hi, x_local, scale, y, row_base)
@@ -194,6 +194,21 @@ def test_long_row_equals_fsum_of_row(n, seed, data):
     check_rows(short + [long_row] + short, data.draw)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.lists(cancelling_rows(), min_size=3, max_size=12),
+       st.lists(st.integers(0, 11), min_size=1, max_size=3),
+       st.integers(3, 6), st.data())
+def test_rows_of_several_slices_equal_fsum_of_row(rows, picks, times, data):
+    # rows several times the median length span several slices, and one
+    # slice a chunk splits them over chunks too
+    width = max(1, int(np.median([len(row) for row in rows])))
+    for k in picks:
+        rows[k % len(rows)] = data.draw(st.lists(
+            st.tuples(magnitudes, magnitudes, st.booleans()),
+            min_size=times * width, max_size=times * width))
+    check_rows(rows, data.draw, slice_chunks=(1,))
+
+
 @pytest.fixture
 def fsum_calls(monkeypatch):
     """Count the kernels' ``fsum`` fallbacks."""
@@ -204,6 +219,29 @@ def fsum_calls(monkeypatch):
         return fsum(terms)
     monkeypatch.setattr(spmvlab.exact, "fsum", counting)
     return calls
+
+
+def test_padded_slices_read_only_used_columns(fsum_calls):
+    # column 0 is empty and x[0] is NaN: a padded slice that read it would
+    # send its row to fsum
+    rng = np.random.default_rng(5)
+    lengths = [3, 3, 3, 1, 0, 2, 9, 3]
+    offsets = np.cumsum([0] + lengths)
+    cols = np.concatenate([np.sort(rng.choice(np.arange(1, 12), k, replace=False))
+                           for k in lengths])
+    block = CsrMatrix(len(lengths), 12, offsets, cols,
+                      rng.uniform(-1.0, 1.0, offsets[-1]))
+    empty = CsrMatrix(len(lengths), 0, np.zeros(len(lengths) + 1, np.int64),
+                      np.zeros(0, np.int64), np.zeros(0))
+    x = rng.uniform(-1.0, 1.0, 12)
+    x[0] = np.nan
+    sums = RowSums(block, empty)
+    y = np.empty(len(lengths))
+    start_rows(sums, 0, len(lengths), x, vector_scale(x[1:]), y, 0)
+    expected = [fsum((block.values[a:b] * x[block.col_indices[a:b]]).tolist())
+                for a, b in zip(offsets, offsets[1:])]
+    assert y.tobytes() == np.array(expected).tobytes()
+    assert fsum_calls == []
 
 
 @pytest.mark.parametrize("n", [16, 32])

@@ -79,6 +79,18 @@ def test_single_rank_layout_is_whole_matrix():
     assert lay.diag_block.values.tobytes() == A.values.tobytes()
 
 
+def test_layouts_without_coupling_share_the_matrix_arrays():
+    A = random_spd_csr(np.random.default_rng(3), 30, 0.2)
+    lay = build_rank_layout(A, decompose_rows(30, 1), 0)
+    for name in ("row_offsets", "col_indices", "values"):
+        assert np.shares_memory(getattr(lay.diag_block, name), getattr(A, name))
+    # a later rank of a block-diagonal matrix still shares the values
+    B = csr_from_triplets([(i, i, 2.0) for i in range(6)], 6, 6)
+    lay = build_rank_layout(B, decompose_rows(6, 2), 1)
+    assert np.shares_memory(lay.diag_block.values, B.values)
+    assert lay.diag_block.col_indices.tolist() == [0, 1, 2]
+
+
 def test_scatter_plan_tridiagonal():
     A = tridiagonal(4)
     layouts = build_all_layouts(A, decompose_rows(4, 2))
