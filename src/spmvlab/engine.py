@@ -259,7 +259,10 @@ class MultContext:
             started.wait()
             try:
                 if not errors:
-                    self._run(r, t, x, scale, y)
+                    # one floating-point error state on every thread, the
+                    # caller's included: the kernels let products underflow
+                    with np.errstate(all="ignore"):
+                        self._run(r, t, x, scale, y)
             except BaseException as e:
                 errors.append(e)
                 self._panic()

@@ -25,7 +25,9 @@ layout of Kreutzer et al., SISC 2014). So a chunk of slices costs a few
 numpy calls: one gather of ``x``, one product, the two extraction steps
 with each slice's ``s1`` and ``s2`` broadcast over its slots, and a sum
 per slot column; a row longer than the width spans several slices, and
-only then are its slices' sums folded, by ``np.add.reduceat``.
+only then are its slices' sums folded, by ``np.add.reduceat``. Phase 1
+writes a chunk's rows to ``y`` while they are still in cache, and keeps
+``(t1, t2)`` for phase 2 only for rows with off-diagonal entries.
 """
 
 from math import frexp, fsum, inf, ldexp
@@ -45,11 +47,12 @@ _CHUNK = 1 << 16  # slots of slices split at a time, which bounds the scratch
 
 class _Slices(NamedTuple):
     """Walked rows cut into slices of ``width`` entries, slot-major: slice
-    ``s`` holds ``values[:, s]`` and ``cols[:, s]``, padded with 0.0 at a
-    column the block uses, belongs to walked row ``row[s]`` and carries its
-    unscaled ``(s1, s2)`` in ``sigma[:, s]``; walked row ``k`` owns slices
-    ``first[k]:first[k + 1]``, at least one (of width 0 if the block has no
-    entry)."""
+    ``s`` holds ``values[:, s]`` and ``cols[:, s]`` (int32), padded with
+    0.0 at a column the block uses, belongs to walked row ``row[s]`` and
+    carries its unscaled ``(s1, s2)`` in ``sigma[:, s]``; walked row ``k``
+    owns slices ``first[k]:first[k + 1]``, at least one (of width 0 if the
+    block has no entry), and of its ``c`` slices the ``i``-th holds its
+    entries ``i, c + i, 2c + i, ...``."""
 
     values: np.ndarray
     cols: np.ndarray
@@ -61,29 +64,32 @@ class _Slices(NamedTuple):
 def _slices(block, offsets, sigma):
     """Slices of the walked rows ``k``, entries ``offsets[k]:offsets[k + 1]``
     of ``block``, as wide as their median length."""
+    if block.ncols > np.iinfo(np.int32).max:
+        raise ValueError(f"{block.ncols} columns: slices index at most 2^31 - 1")
     n = np.diff(offsets)
     width = max(1, int(np.median(n))) if block.nnz else 0
     count = np.maximum(-(-n // max(width, 1)), 1)
     first = np.concatenate([[0], np.cumsum(count)])
     row = np.repeat(np.arange(len(n)), count)
     end = offsets[row + 1]
-    pos = offsets[row] + (np.arange(first[-1]) - first[row]) * width
-    pos = pos + np.arange(width)[:, None]
+    # slot j of a row's slices holds a run of its entries, so a long row
+    # reads x in runs, not with a stride of width
+    pos = offsets[row] + np.arange(first[-1]) - first[row]
+    pos = pos + np.arange(width)[:, None] * count[row]
     pad = pos >= end
     # a pad reads its row's last entry, or an empty row a neighbour's
     np.minimum(pos, np.maximum(end - 1, 0), out=pos)
     values = np.take(block.values, pos)
     values[pad] = 0.0
-    cols = np.take(block.col_indices, pos)
-    if block.ncols <= np.iinfo(np.int32).max:
-        cols = cols.astype(np.int32)  # gathers as fast, in half the memory
+    cols = np.take(block.col_indices, pos).astype(np.int32)  # half the memory
     return _Slices(values, cols, row, np.take(sigma, row, axis=1), first)
 
 
 class RowSums:
-    """One rank's row-sum state: ``parts``, each row's ``(t1, t2)``;
-    ``row_abs_max``, the largest ``sum_j |A_ij|``; and each phase's walk,
-    the :class:`_Slices` of all rows or of ``off_rows``."""
+    """One rank's row-sum state: ``parts``, the ``(t1, t2)`` of each row
+    in ``off_rows`` between the phases; ``row_abs_max``, the largest
+    ``sum_j |A_ij|``; and each phase's walk, the :class:`_Slices` of all
+    rows or of ``off_rows``."""
 
     def __init__(self, diag, off):
         self.diag, self.off = diag, off
@@ -104,7 +110,7 @@ class RowSums:
         self.sigma2_min = float(np.min(sigma[1], initial=inf))
         self.diag_walk = _slices(diag, diag.row_offsets, sigma)
         self.off_walk = _slices(off, off_offsets, sigma[:, self.off_rows])
-        self.parts = np.empty((2, diag.nrows))
+        self.parts = np.empty((2, len(self.off_rows)))
 
 
 def vector_scale(x) -> float:
@@ -113,10 +119,12 @@ def vector_scale(x) -> float:
     return ldexp(1.0, frexp(big)[1]) if big < 2.0**1023 else inf
 
 
-def _sum_rows(sums, walk, lo, hi, v, scale, t):
-    """Write the ``q1`` and ``q2`` sums of walked rows ``[lo, hi)`` to ``t``;
-    return ``{i: nonzero r2}``, NaN where ``s1`` or ``s2`` is out of range."""
-    rests, end = {}, int(walk.first[hi])
+def _row_sums(sums, walk, lo, hi, v, scale):
+    """Yield per chunk ``(a, b, t, rests)``: ``t``, the ``q1`` and ``q2``
+    sums of walked rows ``lo + [a, b)``, and ``{i: nonzero r2}`` of the
+    chunk, NaN where ``s1`` or ``s2`` is out of range. A row that goes on
+    into the next chunk is summed whole there."""
+    end, carry = int(walk.first[hi]), None
     step = max(1, _CHUNK // max(1, len(walk.values)))
     for c0 in range(int(walk.first[lo]), end, step):
         c1 = min(c0 + step, end)
@@ -131,18 +139,20 @@ def _sum_rows(sums, walk, lo, hi, v, scale, t):
                 w -= s
                 p -= w  # p becomes r1, then r2
                 w.sum(axis=0, out=s)
-        r0, r1 = walk.row[c0], walk.row[c1 - 1] + 1
+        r0, r1 = int(walk.row[c0]), int(walk.row[c1 - 1]) + 1
         if r1 - r0 < c1 - c0:  # fold each row's slices: any partial sum is exact
             q = np.add.reduceat(q, np.append(0, walk.first[r0 + 1:r1] - c0), axis=1)
-        cont = int(walk.first[r0] < c0)  # the last chunk's row goes on
-        if cont:
-            t[:, r0 - lo] += q[:, 0]
-        t[:, r0 - lo + cont:r1 - lo] = q[:, cont:]
+        if carry is not None:
+            q[:, 0] += carry
+        carry = None
+        if c1 < walk.first[r1]:  # the last row goes on
+            carry, q, r1 = q[:, -1], q[:, :-1], r1 - 1
+        rests = {}
         if p.any():
             slot, sl = np.nonzero(p)
             for i, r in zip((walk.row[c0 + sl] - lo).tolist(), p[slot, sl].tolist()):
                 rests.setdefault(i, []).append(r)
-    return rests
+        yield r0 - lo, r1 - lo, q, rests
 
 
 def _fsum_row(sums, i, parts, rest, x_local, ghost):
@@ -159,18 +169,26 @@ def _fsum_row(sums, i, parts, rest, x_local, ghost):
 
 
 def start_rows(sums, lo, hi, x_local, scale, y, row_base):
-    """Phase 1 over rows ``[lo, hi)``: keep each row's ``(t1, t2)`` from
-    ``x_local`` and write ``fl(t1 + t2)`` to ``y[row_base + row]``, final
-    for rows with no off-diagonal entry. ``scale`` is ``vector_scale(x)``."""
-    t = sums.parts[:, lo:hi]
-    rests = _sum_rows(sums, sums.diag_walk, lo, hi, x_local, scale, t)
-    out = np.add(t[0], t[1], out=y[row_base + lo:row_base + hi])
-    off = sums.off.row_offsets
-    for i, rest in rests.items():
-        if off[lo + i] < off[lo + i + 1]:
-            t[0, i] = np.nan  # finish_rows sums the whole row
-        else:
-            out[i] = _fsum_row(sums, lo + i, t[:, i], rest, x_local, x_local)
+    """Phase 1 over rows ``[lo, hi)``: write ``fl(t1 + t2)`` from
+    ``x_local`` to ``y[row_base + row]``, final for rows with no
+    off-diagonal entry, and keep the others' ``(t1, t2)`` in ``parts``.
+    ``scale`` is ``vector_scale(x)``."""
+    off, off_rows = sums.off.row_offsets, sums.off_rows
+    k0, pending = int(np.searchsorted(off_rows, lo)), {}
+    for a, b, t, rests in _row_sums(sums, sums.diag_walk, lo, hi, x_local, scale):
+        out = np.add(t[0], t[1], out=y[row_base + lo + a:row_base + lo + b])
+        k1 = int(np.searchsorted(off_rows, lo + b))
+        sums.parts[:, k0:k1] = t[:, off_rows[k0:k1] - (lo + a)]
+        k0 = k1
+        for i, rest in rests.items():
+            pending.setdefault(i, []).extend(rest)
+        for i in [i for i in pending if i < b]:  # rows summed whole by now
+            rest = pending.pop(i)
+            if off[lo + i] < off[lo + i + 1]:  # finish_rows sums the whole row
+                sums.parts[0, np.searchsorted(off_rows, lo + i)] = np.nan
+            else:
+                out[i - a] = _fsum_row(sums, lo + i, t[:, i - a], rest,
+                                       x_local, x_local)
 
 
 def finish_rows(sums, lo, hi, x_local, ghost, scale, y, row_base):
@@ -178,9 +196,12 @@ def finish_rows(sums, lo, hi, x_local, ghost, scale, y, row_base):
     row with off-diagonal entries and write it to ``y[row_base + row]``."""
     a, b = np.searchsorted(sums.off_rows, (lo, hi))
     rows = sums.off_rows[a:b]
-    u = np.empty((2, b - a))
-    rests = _sum_rows(sums, sums.off_walk, a, b, ghost, scale, u)
-    u += sums.parts[:, rows]
+    u, rests = np.empty((2, b - a)), {}
+    for i0, i1, t, chunk_rests in _row_sums(sums, sums.off_walk, a, b, ghost, scale):
+        u[:, i0:i1] = t
+        for i, rest in chunk_rests.items():
+            rests.setdefault(i, []).extend(rest)
+    u += sums.parts[:, a:b]
     s = u[0] + u[1]
     for i in rests.keys() | np.flatnonzero(np.isnan(s)).tolist():
         s[i] = _fsum_row(sums, int(rows[i]), u[:, i], rests.get(i, []),

@@ -139,9 +139,7 @@ def build_rank_layout(A: CsrMatrix, ranges, rank: int) -> RankLayout:
     p0, p1 = int(A.row_offsets[lo]), int(A.row_offsets[hi])
     cols = A.col_indices[p0:p1]
     vals = A.values[p0:p1]
-    sub_offsets = A.row_offsets[lo:hi + 1]
-    if p0:
-        sub_offsets = sub_offsets - p0
+    sub_offsets = A.row_offsets[lo:hi + 1] - p0
     in_diag = (cols >= lo) & (cols < hi)
     off_pos = np.flatnonzero(~in_diag)
     off_offsets = np.searchsorted(off_pos, sub_offsets)

@@ -127,7 +127,7 @@ def alternating_medians(contexts, reps, measure):
 def test_criterion_5_overlap_demonstration():
     with criterion(5, "task model hides injected latency: median task time "
                       "<= 0.75 x median vector time at latency = diag time"):
-        A = extruded_laplacian(16, 16, 2048)
+        A = extruded_laplacian(16, 16, 1024)
         x = np.random.default_rng(5005).uniform(-1.0, 1.0, A.ncols)
 
         with create_context(A, ExecConfig("vector", 2, 4), create_fabric(2)) as ctx:
@@ -160,7 +160,7 @@ def test_criterion_6_balanced_thread_benefit():
     with criterion(6, "nnz balancing shrinks the slowest thread: balanced "
                       "max-thread diag time <= 0.8 x equal-rows, and "
                       "imbalance ordering diffuse <= greedy <= equal-rows"):
-        A = arrowhead(1048576)
+        A = arrowhead(524288)
         x = np.random.default_rng(6006).uniform(-1.0, 1.0, A.ncols)
         ref = spmv_serial(A, x)
 

@@ -5,8 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from spmvlab import (ExecConfig, Fabric, LatencyModel, MODELS, arrowhead,
-                     balance_stats, create_context, create_fabric,
+from spmvlab import (CsrMatrix, ExecConfig, Fabric, LatencyModel, MODELS,
+                     arrowhead, balance_stats, create_context, create_fabric,
                      csr_from_triplets, extruded_laplacian, spmv_serial)
 from spmvlab.engine import MAX_THREADS
 from spmvlab.exact import finish_rows, start_rows
@@ -279,7 +279,7 @@ def test_task_never_slower_than_vector_at_half_latency():
     import statistics
     import time as _time
 
-    A = extruded_laplacian(12, 12, 1536)
+    A = extruded_laplacian(12, 12, 768)
     x = np.random.default_rng(10).uniform(-1, 1, A.ncols)
     with create_context(A, ExecConfig("vector", 2, 4), create_fabric(2)) as ctx:
         ctx.mat_mult(x)
@@ -428,6 +428,22 @@ def test_caller_runs_rank_0_thread_0(monkeypatch, model, nranks, threads):
         assert ctx.mat_mult(x).tobytes() == spmv_serial(A, x).tobytes()
     assert len(starts) == nranks * threads - 1
     assert "spmv-r0t0" not in starts
+
+
+@pytest.mark.parametrize("model,nranks,threads", [
+    ("vector", 1, 1), ("vector", 2, 2), ("task", 2, 2), ("task-balanced", 1, 3)])
+def test_callers_error_state_does_not_reach_the_kernels(model, nranks, threads):
+    # the products underflow, and rank 0's rows run on the calling thread,
+    # which raises on every floating-point error here
+    rng = np.random.default_rng(16)
+    B = random_spd_csr(rng, 24, 0.3)
+    A = CsrMatrix(B.nrows, B.ncols, B.row_offsets, B.col_indices,
+                  B.values * 1e-150)
+    x = rng.uniform(-1.0, 1.0, A.ncols) * 1e-170
+    ref = spmv_serial(A, x)
+    with create_context(A, ExecConfig(model, nranks, threads)) as ctx, \
+            np.errstate(all="raise"):
+        assert ctx.mat_mult(x).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("model", MODELS)

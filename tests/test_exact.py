@@ -244,6 +244,19 @@ def test_padded_slices_read_only_used_columns(fsum_calls):
     assert fsum_calls == []
 
 
+def test_slice_columns_fit_int32():
+    # slices keep their columns as int32, so a wider block is refused
+    def block(ncols):
+        return CsrMatrix(1, ncols, np.array([0, 1]), np.array([ncols - 1]),
+                         np.ones(1))
+    empty = CsrMatrix(1, 0, np.zeros(2, np.int64), np.zeros(0, np.int64),
+                      np.zeros(0))
+    sums = RowSums(block(2**31 - 1), empty)
+    assert sums.diag_walk.cols.tolist() == [[2**31 - 2]]
+    with pytest.raises(ValueError, match="2\\^31 - 1"):
+        RowSums(block(2**31), empty)
+
+
 @pytest.mark.parametrize("n", [16, 32])
 def test_laplacian_multiplies_without_fallback(n, fsum_calls):
     A = extruded_laplacian(n, n, n)
