@@ -112,15 +112,15 @@ def greedy_partition(row_nnz, workers: int) -> ThreadPartition:
     return ThreadPartition(tuple(bounds))
 
 
-def diffuse(partition: ThreadPartition, row_nnz, max_sweeps: int | None = None) -> ThreadPartition:
+def diffuse(partition: ThreadPartition, row_nnz) -> ThreadPartition:
     """Refine a partition by local one-row boundary moves.
 
     Sweeps the interior boundaries in order; at each boundary the row
     just left or just right of it may hop across, and a move is accepted
     only if it strictly decreases the larger of the two adjacent loads
     (ties are rejected, which guarantees termination). Stops after a
-    sweep with no accepted move, or after ``max_sweeps`` sweeps (default:
-    the block's row count). The overall maximum load never increases.
+    sweep with no accepted move, or after as many sweeps as the block has
+    rows. The overall maximum load never increases.
     """
     nnz = [int(w) for w in row_nnz]
     n = len(nnz)
@@ -129,8 +129,6 @@ def diffuse(partition: ThreadPartition, row_nnz, max_sweeps: int | None = None) 
             f"partition covers {partition.nrows} rows but {n} weights given")
     bounds = list(partition.boundaries)
     W = partition.workers
-    if max_sweeps is None:
-        max_sweeps = n
     prefix = [0]
     for w in nnz:
         prefix.append(prefix[-1] + w)
@@ -140,7 +138,7 @@ def diffuse(partition: ThreadPartition, row_nnz, max_sweeps: int | None = None) 
         right = prefix[bounds[k + 1]] - prefix[b]
         return left, right
 
-    for _ in range(max_sweeps):
+    for _ in range(n):
         moved = False
         for k in range(1, W):
             b = bounds[k]

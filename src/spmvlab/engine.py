@@ -16,8 +16,8 @@ transfer latency behind the diagonal phase. ``task-balanced`` is
 
 Ranks share the input vector, so thread 0 posts by recording the time
 its rank's latency starts, and unpacks by gathering the rank's ghost
-values with ``layout.fill_ghost`` once the fabric has charged that
-latency. No rank waits on a peer.
+values, ``x[ghost_cols]``, once the fabric has charged that latency. No
+rank waits on a peer.
 
 Both threaded models run one per-thread schedule and differ only in when
 thread 0 waits for the ghost values: at once under ``task``, where it
@@ -60,8 +60,7 @@ from .balance import scheme_partition
 from .exact import (RowSums, check_products, finish_rows, start_rows,
                     vector_scale)
 from .fabric import Fabric, create_fabric
-from .layout import (build_all_layouts, build_scatter_plan, decompose_rows,
-                     fill_ghost)
+from .layout import build_all_layouts, build_scatter_plan, decompose_rows
 from .sparse import CsrMatrix, spmv_serial
 
 __all__ = [
@@ -193,6 +192,7 @@ class MultContext:
 
         self._closed = self._broken = False
         self._row_abs_max = np.inf  # no fast input check without RowSums
+        self._read = None  # the columns A reads, if not all of them
         if not distributed:
             return
 
@@ -206,6 +206,10 @@ class MultContext:
         self._ghost = [np.empty(len(lay.ghost_cols)) for lay in self.layouts]
         self._sums = [RowSums(lay.diag_block, lay.off_block) for lay in self.layouts]
         self._row_abs_max = max(s.row_abs_max for s in self._sums)
+        read = np.zeros(A.ncols, bool)
+        read[A.col_indices] = True
+        if not read.all():  # x's other entries must not set the kernels' scale
+            self._read = np.flatnonzero(read)
         self._busy = threading.Lock()
         self._rank_barriers = [threading.Barrier(cfg.threads_per_rank)
                                for _ in range(cfg.nranks)]
@@ -239,7 +243,7 @@ class MultContext:
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (A.ncols,):
             raise ValueError(f"vector length {x.shape} does not match ncols={A.ncols}")
-        scale = vector_scale(x)
+        scale = vector_scale(x if self._read is None else x[self._read])
         check_products([(A, x)], bound=self._row_abs_max * scale)
         if self.cfg.model == "serial":
             w0, c0 = perf_counter(), thread_time()
@@ -368,7 +372,7 @@ class MultContext:
     def _wait_and_unpack(self, r, posted, x):
         w0 = perf_counter()
         self.fabric.wait(posted, [len(idx) for idx in self.plan.recv[r].values()])
-        fill_ghost(self.plan, r, x, self._ghost[r])
+        np.take(x, self.layouts[r].ghost_cols, out=self._ghost[r])
         self.events.append(PhaseEvent("wait", r, 0, w0, perf_counter()))
 
 

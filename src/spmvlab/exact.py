@@ -12,10 +12,11 @@ The kernels split each product ``p`` without error by AccSum's extraction
 sum_j |A_ij| max|x|`` and ``s2 = s1 2^(m - 53)``, ``2^m >= 2 nnz_i``, keep
 every partial sum of its ``q1``, or of its ``q2``, exact. A row whose
 ``r2`` are all zero thus sums exactly to ``t1 + t2``, the sums of its
-``q1`` and ``q2``, and one addition rounds it. Otherwise ``math.fsum``,
-the oracle's own rule, rounds ``t1``, ``t2`` and the nonzero ``r2``, or,
-where ``s1`` overflows or ``s2`` nears the subnormal range, the row's
-products. ``start_rows`` finishes rows with no off-diagonal entry, and
+``q1`` and ``q2``, and one addition rounds it. Any other row, one with a
+nonzero ``r2`` or with ``s1`` overflowing or ``s2`` near the subnormal
+range, is marked by a NaN ``t1 + t2``, and ``math.fsum``, the oracle's own
+rule, rounds its products, gathered in one batch per phase and block.
+``start_rows`` finishes rows with no off-diagonal entry, and
 ``finish_rows`` the others; the engine and ``layout.two_phase_multiply``
 run them after ``check_products``, as overflow breaks the splitting.
 
@@ -120,10 +121,11 @@ def vector_scale(x) -> float:
 
 
 def _row_sums(sums, walk, lo, hi, v, scale):
-    """Yield per chunk ``(a, b, t, rests)``: ``t``, the ``q1`` and ``q2``
-    sums of walked rows ``lo + [a, b)``, and ``{i: nonzero r2}`` of the
-    chunk, NaN where ``s1`` or ``s2`` is out of range. A row that goes on
-    into the next chunk is summed whole there."""
+    """Yield per chunk ``(a, b, t, marked)``: ``t``, the ``q1`` and ``q2``
+    sums of walked rows ``lo + [a, b)``, NaN for a row with a nonzero
+    ``r2`` or with ``s1`` or ``s2`` out of range, and ``marked`` false if
+    no row is NaN. A row that goes on into the next chunk is summed whole
+    there."""
     end, carry = int(walk.first[hi]), None
     step = max(1, _CHUNK // max(1, len(walk.values)))
     for c0 in range(int(walk.first[lo]), end, step):
@@ -139,56 +141,52 @@ def _row_sums(sums, walk, lo, hi, v, scale):
                 w -= s
                 p -= w  # p becomes r1, then r2
                 w.sum(axis=0, out=s)
+            marked = p.any()  # NaN counts as nonzero
+            if marked:
+                q[:, p.any(axis=0)] = np.nan
         r0, r1 = int(walk.row[c0]), int(walk.row[c1 - 1]) + 1
         if r1 - r0 < c1 - c0:  # fold each row's slices: any partial sum is exact
             q = np.add.reduceat(q, np.append(0, walk.first[r0 + 1:r1] - c0), axis=1)
         if carry is not None:
             q[:, 0] += carry
+            marked = marked or np.isnan(carry[0])
         carry = None
         if c1 < walk.first[r1]:  # the last row goes on
             carry, q, r1 = q[:, -1], q[:, :-1], r1 - 1
-        rests = {}
-        if p.any():
-            slot, sl = np.nonzero(p)
-            for i, r in zip((walk.row[c0 + sl] - lo).tolist(), p[slot, sl].tolist()):
-                rests.setdefault(i, []).append(r)
-        yield r0 - lo, r1 - lo, q, rests
+        yield r0 - lo, r1 - lo, q, marked
 
 
-def _fsum_row(sums, i, parts, rest, x_local, ghost):
-    """Row ``i`` from its ``parts`` and nonzero ``r2``, which sum to it
-    exactly, or, if any is NaN, from its products (``ghost`` is read only
-    for its off-diagonal entries)."""
-    terms = [*parts.tolist(), *rest]
-    if np.isfinite(terms).all():
-        return fsum(terms)
-    return fsum(np.concatenate([
-        b.values[s] * v[b.col_indices[s]]
-        for b, v in ((sums.diag, x_local), (sums.off, ghost))
-        for s in [slice(*b.row_offsets[i:i + 2])]]).tolist())
+def _fsum_rows(sums, rows, x_local, ghost):
+    """``fsum`` of each of ``rows``' products, with one gather per block
+    (``ghost`` is read only for the off-diagonal entries)."""
+    terms = []
+    for b, v in ((sums.diag, x_local), (sums.off, ghost)):
+        first = b.row_offsets[rows]
+        n = b.row_offsets[rows + 1] - first
+        ends = np.cumsum(n)
+        pos = np.arange(n.sum()) + np.repeat(first - ends + n, n)
+        prods = (b.values[pos] * v[b.col_indices[pos]]).tolist()
+        terms.append([prods[e - k:e] for e, k in zip(ends.tolist(), n.tolist())])
+    return [fsum(d + o) for d, o in zip(*terms)]
 
 
 def start_rows(sums, lo, hi, x_local, scale, y, row_base):
     """Phase 1 over rows ``[lo, hi)``: write ``fl(t1 + t2)`` from
     ``x_local`` to ``y[row_base + row]``, final for rows with no
     off-diagonal entry, and keep the others' ``(t1, t2)`` in ``parts``.
-    ``scale`` is ``vector_scale(x)``."""
+    ``scale`` is ``vector_scale`` of ``x``, or of the entries of ``x``
+    that the rows read."""
     off, off_rows = sums.off.row_offsets, sums.off_rows
-    k0, pending = int(np.searchsorted(off_rows, lo)), {}
-    for a, b, t, rests in _row_sums(sums, sums.diag_walk, lo, hi, x_local, scale):
+    k0 = int(np.searchsorted(off_rows, lo))
+    for a, b, t, marked in _row_sums(sums, sums.diag_walk, lo, hi, x_local, scale):
         out = np.add(t[0], t[1], out=y[row_base + lo + a:row_base + lo + b])
         k1 = int(np.searchsorted(off_rows, lo + b))
         sums.parts[:, k0:k1] = t[:, off_rows[k0:k1] - (lo + a)]
         k0 = k1
-        for i, rest in rests.items():
-            pending.setdefault(i, []).extend(rest)
-        for i in [i for i in pending if i < b]:  # rows summed whole by now
-            rest = pending.pop(i)
-            if off[lo + i] < off[lo + i + 1]:  # finish_rows sums the whole row
-                sums.parts[0, np.searchsorted(off_rows, lo + i)] = np.nan
-            else:
-                out[i - a] = _fsum_row(sums, lo + i, t[:, i - a], rest,
-                                       x_local, x_local)
+        if marked:
+            rows = lo + a + np.flatnonzero(np.isnan(out))
+            rows = rows[off[rows] == off[rows + 1]]  # finish_rows has the rest
+            y[row_base + rows] = _fsum_rows(sums, rows, x_local, x_local)
 
 
 def finish_rows(sums, lo, hi, x_local, ghost, scale, y, row_base):
@@ -196,16 +194,14 @@ def finish_rows(sums, lo, hi, x_local, ghost, scale, y, row_base):
     row with off-diagonal entries and write it to ``y[row_base + row]``."""
     a, b = np.searchsorted(sums.off_rows, (lo, hi))
     rows = sums.off_rows[a:b]
-    u, rests = np.empty((2, b - a)), {}
-    for i0, i1, t, chunk_rests in _row_sums(sums, sums.off_walk, a, b, ghost, scale):
+    u = np.empty((2, b - a))
+    for i0, i1, t, _ in _row_sums(sums, sums.off_walk, a, b, ghost, scale):
         u[:, i0:i1] = t
-        for i, rest in chunk_rests.items():
-            rests.setdefault(i, []).extend(rest)
     u += sums.parts[:, a:b]
     s = u[0] + u[1]
-    for i in rests.keys() | np.flatnonzero(np.isnan(s)).tolist():
-        s[i] = _fsum_row(sums, int(rows[i]), u[:, i], rests.get(i, []),
-                         x_local, ghost)
+    nan_at = np.flatnonzero(np.isnan(s))
+    if len(nan_at):
+        s[nan_at] = _fsum_rows(sums, rows[nan_at], x_local, ghost)
     y[row_base + rows] = s
 
 

@@ -3,10 +3,10 @@
 Ranks here are threads inside one process, not separate machines; this
 module is the desk-scale stand-in for a real interconnect. Every rank
 can read the whole input vector, so nothing is transported: a rank
-fills its ghost buffer itself (``layout.fill_ghost``), and the fabric
-only charges the time the messages would have taken. A configurable
-affine model charges ``per_message_s + per_element_s * len`` for each
-message.
+fills its ghost buffer itself, with one gather of ``x[ghost_cols]``, and
+the fabric only charges the time the messages would have taken. A
+configurable affine model charges ``per_message_s + per_element_s * len``
+for each message.
 
 The key semantic is the progress mode. In ``"active"`` mode (the
 default), a rank's incoming latency elapses inside its own ``wait`` call

@@ -70,15 +70,16 @@ class ScatterPlan:
 
     ``send[r]`` maps destination rank -> sorted global indices of entries
     rank ``r`` owns and must ship there; ``recv[r]`` maps source rank ->
-    the same indices from the receiving side, with ``recv_pos[r]`` giving
-    each index's position in rank ``r``'s ghost buffer. By construction
-    ``send[r][q]`` equals ``recv[q][r]`` elementwise.
+    the same indices from the receiving side, which together are rank
+    ``r``'s ``ghost_cols``. By construction ``send[r][q]`` equals
+    ``recv[q][r]`` elementwise. Ranks share the input vector, so a rank
+    fills its ghost buffer with one gather of ``x[ghost_cols]``; the plan
+    sizes the messages whose latency the fabric charges.
     """
 
     nranks: int
     send: tuple
     recv: tuple
-    recv_pos: tuple
 
     def peers_out(self, rank: int) -> list[int]:
         """Destination ranks this rank sends to, ascending."""
@@ -165,9 +166,7 @@ def build_all_layouts(A: CsrMatrix, ranges) -> list[RankLayout]:
 def build_scatter_plan(layouts) -> ScatterPlan:
     """Derive matched send/receive lists from all ranks' ghost columns.
 
-    Index lists are sorted ascending so the wire order is deterministic,
-    and ghost-buffer positions follow the ascending ``ghost_cols``
-    layout.
+    Index lists are sorted ascending so the wire order is deterministic.
 
     Raises
     ------
@@ -180,7 +179,6 @@ def build_scatter_plan(layouts) -> ScatterPlan:
     ends = np.array([lay.own.end for lay in layouts], dtype=np.int64)
     send: list[dict] = [dict() for _ in range(nranks)]
     recv: list[dict] = [dict() for _ in range(nranks)]
-    recv_pos: list[dict] = [dict() for _ in range(nranks)]
     for lay in layouts:
         r = lay.rank
         ghosts = lay.ghost_cols
@@ -194,45 +192,30 @@ def build_scatter_plan(layouts) -> ScatterPlan:
             g = int(ghosts[np.flatnonzero(bad)[0]])
             raise ValueError(f"ghost column {g} of rank {r} is owned by no rank")
         for q in np.unique(owner):
-            mask = owner == q
-            idx = ghosts[mask]
+            idx = ghosts[owner == q]
             idx.flags.writeable = False
             send[int(q)][r] = idx
             recv[r][int(q)] = idx
-            pos = np.flatnonzero(mask)
-            pos.flags.writeable = False
-            recv_pos[r][int(q)] = pos
-    return ScatterPlan(nranks, tuple(send), tuple(recv), tuple(recv_pos))
+    return ScatterPlan(nranks, tuple(send), tuple(recv))
 
 
-def fill_ghost(plan: ScatterPlan, rank: int, x: np.ndarray, ghost: np.ndarray) -> None:
-    """Fill one rank's ghost buffer by gathering its peers' entries of ``x``.
-
-    This is the exchange's unpack for the engine, which runs it once the
-    fabric has charged the latency, and for the sequential two-phase
-    multiply, which charges none.
-    """
-    for src in plan.peers_in(rank):
-        ghost[plan.recv_pos[rank][src]] = x[plan.send[src][rank]]
-
-
-def two_phase_multiply(layouts, plan: ScatterPlan, x: np.ndarray) -> np.ndarray:
+def two_phase_multiply(layouts, x: np.ndarray) -> np.ndarray:
     """Sequential reference of the distributed two-phase multiply.
 
     Each rank's rows run through the engine's two kernels, ``start_rows``
-    on the diagonal block and then, once ``fill_ghost`` has gathered the
-    ghost values per the scatter plan, ``finish_rows`` on the off-diagonal
-    block, after each rank's input check. Row sums are correctly rounded,
-    so the per-rank results equal ``spmv_serial`` bit for bit.
+    on the diagonal block and then, once the rank's ghost values are
+    gathered, ``finish_rows`` on the off-diagonal block, after each rank's
+    input check. The kernels' scale is taken over the entries of ``x`` the
+    rank reads. Row sums are correctly rounded, so the per-rank results
+    equal ``spmv_serial`` bit for bit.
     """
     y = np.empty(layouts[-1].own.end)
-    scale = vector_scale(x)
     for lay in layouts:
-        ghost = np.empty(len(lay.ghost_cols))
-        fill_ghost(plan, lay.rank, x, ghost)
+        ghost = np.take(x, lay.ghost_cols)
         x_local, nrows = x[lay.own.begin:lay.own.end], lay.own.nrows
         check_products([(lay.diag_block, x_local), (lay.off_block, ghost)],
                        lay.own.begin)
+        scale = vector_scale(np.append(x_local[lay.diag_block.col_indices], ghost))
         sums = RowSums(lay.diag_block, lay.off_block)
         start_rows(sums, 0, nrows, x_local, scale, y, lay.own.begin)
         finish_rows(sums, 0, nrows, x_local, ghost, scale, y, lay.own.begin)

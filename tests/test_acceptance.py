@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from spmvlab import (ExecConfig, Fabric, LatencyModel, arrowhead,
-                     build_all_layouts, build_scatter_plan, create_context,
+                     build_all_layouts, create_context,
                      create_fabric, csr_from_triplets, decompose_rows, diffuse,
                      cg_solve, extruded_laplacian, greedy_partition,
                      read_matrix_market, spmv_serial, two_phase_multiply,
@@ -73,9 +73,8 @@ def test_criterion_2_two_phase_identity_exact():
             A = random_spd_csr(rng, n, float(rng.uniform(0.02, 0.2)))
             nranks = int(rng.integers(1, 7))
             layouts = build_all_layouts(A, decompose_rows(n, nranks))
-            plan = build_scatter_plan(layouts)
             x = rng.uniform(-10.0, 10.0, n)
-            y = two_phase_multiply(layouts, plan, x)
+            y = two_phase_multiply(layouts, x)
             assert y.tobytes() == spmv_serial(A, x).tobytes(), (trial, n, nranks)
 
 

@@ -132,11 +132,3 @@ def test_balance_stats_fixtures():
 def test_balance_stats_empty_block():
     s = balance_stats(ThreadPartition((0, 0, 0)), [])
     assert s.imbalance == 1.0 and s.max_load == 0
-
-
-def test_diffuse_respects_max_sweeps():
-    nnz = [1] * 10 + [50]
-    part = equal_rows_partition(11, 4)
-    once = diffuse(part, nnz, max_sweeps=1)
-    full = diffuse(part, nnz)
-    assert max_load_of(full.boundaries, nnz) <= max_load_of(once.boundaries, nnz)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from spmvlab import (CsrMatrix, ExecConfig, Fabric, LatencyModel, MODELS,
-                     arrowhead, balance_stats, create_context, create_fabric,
-                     csr_from_triplets, extruded_laplacian, spmv_serial)
+                     arrowhead, balance_stats, build_all_layouts, create_context,
+                     create_fabric, csr_from_triplets, decompose_rows,
+                     extruded_laplacian, spmv_serial, two_phase_multiply)
 from spmvlab.engine import MAX_THREADS
 from spmvlab.exact import finish_rows, start_rows
 
@@ -564,10 +565,11 @@ def test_input_check_bound_that_trips_still_multiplies_exactly():
             assert ctx.mat_mult(x).tobytes() == ref.tobytes()
 
 
-def test_unused_non_finite_input_multiplies_exactly():
+def test_unused_non_finite_input_multiplies_exactly(fsum_calls):
     # the last column is empty, so x[-1] enters no product and must not
-    # reach y; in the second matrix the first column is empty too, and
-    # x[0] enters no product either
+    # reach y, nor the kernels' scale, which would send every row to fsum;
+    # in the second matrix the first column is empty too, and x[0] enters
+    # no product either
     rng = np.random.default_rng(14)
     n = 40
     for first in (0, 1):  # the first used column
@@ -581,3 +583,6 @@ def test_unused_non_finite_input_multiplies_exactly():
             for model in MODELS:
                 with create_context(A, ExecConfig(model, 2, 2)) as ctx:
                     assert ctx.mat_mult(x).tobytes() == ref.tobytes()
+            layouts = build_all_layouts(A, decompose_rows(n, 2))
+            assert two_phase_multiply(layouts, x).tobytes() == ref.tobytes()
+    assert fsum_calls == []

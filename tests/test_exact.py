@@ -209,18 +209,6 @@ def test_rows_of_several_slices_equal_fsum_of_row(rows, picks, times, data):
     check_rows(rows, data.draw, slice_chunks=(1,))
 
 
-@pytest.fixture
-def fsum_calls(monkeypatch):
-    """Count the kernels' ``fsum`` fallbacks."""
-    calls = []
-
-    def counting(terms):
-        calls.append(1)
-        return fsum(terms)
-    monkeypatch.setattr(spmvlab.exact, "fsum", counting)
-    return calls
-
-
 def test_padded_slices_read_only_used_columns(fsum_calls):
     # column 0 is empty and x[0] is NaN: a padded slice that read it would
     # send its row to fsum
