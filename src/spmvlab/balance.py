@@ -92,23 +92,20 @@ def greedy_partition(row_nnz, workers: int) -> ThreadPartition:
     recomputing the target after every cut; the last worker takes
     whatever remains. The comparison is done in integer arithmetic
     (``running * remaining_workers >= remaining_nnz``) so equal-weight
-    rows reproduce the equal-rows split exactly.
+    rows reproduce the equal-rows split exactly. Each cut is one binary
+    search of the running sums from the previous cut.
     """
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
-    nnz = [int(w) for w in row_nnz]
-    n = len(nnz)
-    remaining = sum(nnz)
+    prefix = _prefix(row_nnz)
     bounds = [0]
-    row = 0
     for left in range(workers, 1, -1):
-        running = 0
-        while row < n and running * left < remaining:
-            running += nnz[row]
-            row += 1
-        bounds.append(row)
-        remaining -= running
-    bounds.append(n)
+        row = bounds[-1]
+        remaining = int(prefix[-1] - prefix[row])
+        # running * left >= remaining  <=>  running >= ceil(remaining / left)
+        target = prefix[row] - (-remaining // left)
+        bounds.append(row + int(np.searchsorted(prefix[row:], target)))
+    bounds.append(len(prefix) - 1)
     return ThreadPartition(tuple(bounds))
 
 
@@ -122,45 +119,40 @@ def diffuse(partition: ThreadPartition, row_nnz) -> ThreadPartition:
     sweep with no accepted move, or after as many sweeps as the block has
     rows. The overall maximum load never increases.
     """
-    nnz = [int(w) for w in row_nnz]
-    n = len(nnz)
+    # the sweeps read single entries, which a list serves faster than an array
+    prefix = _prefix(row_nnz).tolist()
+    n = len(prefix) - 1
     if partition.nrows != n:
         raise ValueError(
             f"partition covers {partition.nrows} rows but {n} weights given")
     bounds = list(partition.boundaries)
-    W = partition.workers
-    prefix = [0]
-    for w in nnz:
-        prefix.append(prefix[-1] + w)
 
-    def pair(k, b):
-        left = prefix[b] - prefix[bounds[k - 1]]
-        right = prefix[bounds[k + 1]] - prefix[b]
-        return left, right
+    def worse(k, b):
+        """The larger load beside boundary ``k`` if it sat at row ``b``."""
+        return max(prefix[b] - prefix[bounds[k - 1]], prefix[bounds[k + 1]] - prefix[b])
 
     for _ in range(n):
         moved = False
-        for k in range(1, W):
+        for k in range(1, partition.workers):
             b = bounds[k]
-            left, right = pair(k, b)
-            best = max(left, right)
-            choice = b
-            if b - 1 >= bounds[k - 1]:
-                l2, r2 = pair(k, b - 1)
-                if max(l2, r2) < best:
-                    best = max(l2, r2)
-                    choice = b - 1
-            if b + 1 <= bounds[k + 1]:
-                l2, r2 = pair(k, b + 1)
-                if max(l2, r2) < best:
-                    best = max(l2, r2)
-                    choice = b + 1
+            best, choice = worse(k, b), b
+            for c in (b - 1, b + 1):
+                if bounds[k - 1] <= c <= bounds[k + 1] and (load := worse(k, c)) < best:
+                    best, choice = load, c
             if choice != b:
                 bounds[k] = choice
                 moved = True
         if not moved:
             break
     return ThreadPartition(tuple(bounds))
+
+
+def _prefix(row_nnz) -> np.ndarray:
+    """0, then the running sums of the rows' non-negative weights."""
+    nnz = np.asarray(row_nnz, dtype=np.int64)
+    if nnz.size and nnz.min() < 0:
+        raise ValueError("row weights must be non-negative")
+    return np.concatenate(([0], np.cumsum(nnz)))
 
 
 def scheme_partition(scheme: str, row_nnz, workers: int) -> ThreadPartition:
@@ -177,11 +169,10 @@ def scheme_partition(scheme: str, row_nnz, workers: int) -> ThreadPartition:
 
 def balance_stats(partition: ThreadPartition, row_nnz) -> BalanceStats:
     """Per-worker loads, max load, mean load, and max/mean imbalance."""
-    nnz = np.asarray(row_nnz, dtype=np.int64)
-    if partition.nrows != len(nnz):
-        raise ValueError(
-            f"partition covers {partition.nrows} rows but {len(nnz)} weights given")
-    prefix = np.concatenate([[0], np.cumsum(nnz)])
+    prefix = _prefix(row_nnz)
+    if partition.nrows != len(prefix) - 1:
+        raise ValueError(f"partition covers {partition.nrows} rows but "
+                         f"{len(prefix) - 1} weights given")
     b = np.array(partition.boundaries, dtype=np.int64)
     loads = tuple(int(v) for v in (prefix[b[1:]] - prefix[b[:-1]]))
     max_load = max(loads)

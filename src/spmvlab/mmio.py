@@ -5,6 +5,11 @@ symmetry. Symmetric inputs are expanded to full storage on read. Values
 are written with ``repr`` so that write -> read reproduces the exact CSR
 arrays, bit for bit.
 
+The writer's lines are exactly ``f"{i + 1} {j + 1} {v!r}\\n"``, built from
+arrays: indices become digits by integer arithmetic, ``repr`` is called
+once per distinct value (by bit pattern, so ``-0.0`` is not ``0.0``), and
+each chunk of lines is laid out in a fixed-width buffer, padding deleted.
+
 After the size line each non-blank line is one entry of three tokens:
 two indices and a value, an integer in ``integer`` files, so ``1.0`` is
 rejected there. The body is parsed in one ``np.loadtxt`` pass, whose rules
@@ -25,10 +30,17 @@ from .sparse import CsrMatrix, SparseFormatError, csr_from_arrays
 __all__ = ["read_matrix_market", "write_matrix_market"]
 
 _BANNER = "%%MatrixMarket"
-# Small enough that a chunk's Python objects fit in the one empty arena
-# CPython's allocator keeps, so writing does not map and fault in fresh
-# memory chunk after chunk, whatever objects the caller holds.
-_WRITE_CHUNK = 1 << 12
+# Small enough that each chunk's buffers fit in memory the allocator freed
+# from the chunk before, so writing does not fault in fresh pages chunk
+# after chunk.
+_WRITE_CHUNK = 1 << 13
+# 0..9999 as four ASCII digits packed in one uint32: the first 10,000 words
+# with leading zeros as NULs (a number's leading group), the next 10,000
+# zero-padded (every later group).
+_q = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+_DIGIT_GROUPS = np.concatenate([np.where(np.cumsum(_q, axis=1) > 0, _q + 48, 0),
+                                _q + 48]).astype(np.uint8).view(np.uint32).ravel()
+del _q
 
 
 def read_matrix_market(source) -> CsrMatrix:
@@ -124,13 +136,59 @@ def _read_entries(body: str, field: str, nrows: int, ncols: int) -> np.ndarray:
 
 def write_matrix_market(A: CsrMatrix) -> str:
     """Render a CsrMatrix as Matrix Market coordinate/general text."""
-    rows = np.repeat(np.arange(1, A.nrows + 1), A.row_nnz())
     parts = [f"{_BANNER} matrix coordinate real general\n",
              f"{A.nrows} {A.ncols} {A.nnz}\n"]
-    # a chunk at a time, so that no Python object per entry outlives its chunk
+    if not A.nnz:
+        return "".join(parts)
+    bits = A.values.view(np.int64)
+    distinct, reprs = _value_lines(bits)
+    # four-digit groups, as uint32 words, for the indices 1..nrows and 1..ncols
+    row_words, col_words = (-(-len(str(n)) // 4) for n in A.shape)
+    cols = row_words + 1
+    vals = cols + col_words + 1
+    offsets = A.row_offsets
     for lo in range(0, A.nnz, _WRITE_CHUNK):
-        at = slice(lo, lo + _WRITE_CHUNK)
-        parts.append("".join(map("{} {} {!r}\n".format, rows[at].tolist(),
-                                 (A.col_indices[at] + 1).tolist(),
-                                 A.values[at].tolist())))
+        hi = min(lo + _WRITE_CHUNK, A.nnz)
+        # one uint32 word per four bytes: row, space, column, space, value
+        # and newline, with NUL padding that ``translate`` deletes
+        line = np.empty((hi - lo, vals + reprs.shape[1]), np.uint32)
+        first, last = np.searchsorted(offsets, [lo, hi - 1], side="right")
+        labels = _digits(np.arange(first, last + 1), row_words)
+        line[:, :row_words] = np.repeat(
+            labels, np.diff(offsets[first - 1:last + 1].clip(lo, hi)), axis=0)
+        line[:, cols:vals - 1] = _digits(A.col_indices[lo:hi] + 1, col_words)
+        line[:, [cols - 1, vals - 1]] = ord(" ")
+        line[:, vals:] = np.take(reprs, np.searchsorted(distinct, bits[lo:hi]), axis=0)
+        parts.append(line.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(parts)
+
+
+def _digits(k: np.ndarray, groups: int) -> np.ndarray:
+    """The positive integers ``k`` in decimal, ``groups`` uint32 words each,
+    NUL-padded on the left."""
+    out = np.empty((len(k), groups), np.uint32)
+    for g in range(groups):
+        scale = 10000 ** (groups - 1 - g)
+        q = k // scale
+        if g:
+            q = q % 10000 + 10000 * (k >= scale * 10000)
+        out[:, g] = np.take(_DIGIT_GROUPS, q)
+    return out
+
+
+def _value_lines(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``bits`` (float64 bit patterns), sorted, and
+    the ``repr`` of each plus a newline as a NUL-padded row of uint32 words."""
+    ordered = np.sort(bits)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    # "[r0, r1, ...]": the list's repr formats every value in C, with no
+    # str object per value; no repr of a float holds a comma or a space
+    listed = repr(distinct.view(np.float64).tolist()).encode("ascii")
+    commas = np.flatnonzero(np.frombuffer(listed, np.uint8) == ord(","))
+    lengths = np.diff(np.concatenate(([-1], commas, [len(listed) - 1]))) - 2
+    width = 4 * (lengths.max() // 4 + 1)
+    table = np.zeros((len(distinct), width), np.uint8)
+    table[np.arange(width) < lengths[:, None]] = np.frombuffer(
+        listed[1:-1].translate(None, b", "), np.uint8)
+    table[np.arange(len(distinct)), lengths] = ord("\n")
+    return distinct, table.view(np.uint32)

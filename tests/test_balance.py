@@ -110,6 +110,79 @@ def test_partition_boundary_invariants(nnz, W):
                 <= max_load_of(start.boundaries, nnz))
 
 
+def _greedy_loop(nnz, workers):
+    """greedy_partition as a row-by-row walk, the reference for the search."""
+    remaining = sum(nnz)
+    bounds, row = [0], 0
+    for left in range(workers, 1, -1):
+        running = 0
+        while row < len(nnz) and running * left < remaining:
+            running += nnz[row]
+            row += 1
+        bounds.append(row)
+        remaining -= running
+    bounds.append(len(nnz))
+    return tuple(bounds)
+
+
+def _diffuse_loop(bounds, nnz):
+    """diffuse over a Python list of running sums, the reference."""
+    bounds = list(bounds)
+    n, W = len(nnz), len(bounds) - 1
+    prefix = [0]
+    for w in nnz:
+        prefix.append(prefix[-1] + w)
+
+    def pair(k, b):
+        return prefix[b] - prefix[bounds[k - 1]], prefix[bounds[k + 1]] - prefix[b]
+
+    for _ in range(n):
+        moved = False
+        for k in range(1, W):
+            b = bounds[k]
+            left, right = pair(k, b)
+            best = max(left, right)
+            choice = b
+            if b - 1 >= bounds[k - 1]:
+                l2, r2 = pair(k, b - 1)
+                if max(l2, r2) < best:
+                    best = max(l2, r2)
+                    choice = b - 1
+            if b + 1 <= bounds[k + 1]:
+                l2, r2 = pair(k, b + 1)
+                if max(l2, r2) < best:
+                    best = max(l2, r2)
+                    choice = b + 1
+            if choice != b:
+                bounds[k] = choice
+                moved = True
+        if not moved:
+            break
+    return tuple(bounds)
+
+
+# runs of zero-weight rows are where a cut could slip by one
+_WEIGHTS = st.lists(st.one_of(st.just(0), st.integers(0, 30), st.integers(0, 10**6)),
+                    max_size=60)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_WEIGHTS, st.integers(1, 9))
+def test_partitions_match_row_by_row_reference(nnz, W):
+    greedy = greedy_partition(nnz, W)
+    assert greedy.boundaries == _greedy_loop(nnz, W)
+    for start in (greedy, equal_rows_partition(len(nnz), W)):
+        assert diffuse(start, nnz).boundaries == _diffuse_loop(start.boundaries, nnz)
+    assert greedy_partition(np.array(nnz, dtype=np.int64), W) == greedy
+
+
+def test_partitions_reject_negative_weights():
+    with pytest.raises(ValueError, match="non-negative"):
+        greedy_partition([3, -1, 2], 2)
+    with pytest.raises(ValueError, match="non-negative"):
+        diffuse(ThreadPartition((0, 1, 3)), [3, -1, 2])
+
+
 def test_partition_validation():
     with pytest.raises(ValueError):
         ThreadPartition((1, 2))

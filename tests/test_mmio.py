@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spmvlab
-from spmvlab import (SparseFormatError, csr_from_triplets, extruded_laplacian,
-                     read_matrix_market, write_matrix_market)
+from spmvlab import (SparseFormatError, csr_from_arrays, csr_from_triplets,
+                     extruded_laplacian, read_matrix_market, write_matrix_market)
 
 from helpers import csr_equal, identity_csr, random_spd_csr
 
@@ -104,13 +104,70 @@ def test_write_empty_matrix():
 
 
 def test_write_spans_chunks():
-    A = extruded_laplacian(20, 20, 25)  # 67,200 entries: 17 write chunks
+    A = extruded_laplacian(20, 20, 25)  # 67,200 entries: several write chunks
     rows = np.repeat(np.arange(A.nrows), A.row_nnz())
     text = write_matrix_market(A)
     assert text.split("\n", 2)[2] == "".join(
         f"{i + 1} {j + 1} {v!r}\n"
         for i, j, v in zip(rows.tolist(), A.col_indices.tolist(), A.values.tolist()))
     assert csr_equal(A, _read(text))
+
+
+def _reference_text(A):
+    """The writer's text, one f-string per stored entry."""
+    rows = np.repeat(np.arange(A.nrows), A.row_nnz())
+    return (f"%%MatrixMarket matrix coordinate real general\n{A.nrows} {A.ncols} {A.nnz}\n"
+            + "".join(f"{i + 1} {j + 1} {v!r}\n" for i, j, v in zip(
+                rows.tolist(), A.col_indices.tolist(), A.values.tolist())))
+
+
+# sizes and one-based indices on both sides of a change of digit count
+_WIDTHS = [1, 2, 9, 10, 11, 99, 100, 9999, 10000, 10001, 99999, 100000, 100001]
+# both signed zeros, subnormals, and both sides of repr's switch to exponents
+_WRITE_VALUES = st.one_of(st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.225073858507201e-308, 1e-4, 1e-5,
+     0.0001, 9.999999999999999e-05, 1e15, 1e16, -1e16, 9999999999999998.0,
+     1.7976931348623157e308, 1 / 3, -1.0, 6.0]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_WIDTHS), st.sampled_from(_WIDTHS), st.data())
+def test_write_matches_per_entry_repr(nrows, ncols, data):
+    def index(n):
+        return st.one_of(st.integers(0, n - 1),
+                         st.sampled_from([w for w in _WIDTHS if w <= n]).map(lambda w: w - 1))
+    entries = data.draw(st.dictionaries(st.tuples(index(nrows), index(ncols)),
+                                        _WRITE_VALUES, max_size=40))
+    A = csr_from_triplets([(i, j, v) for (i, j), v in entries.items()], nrows, ncols)
+    assert write_matrix_market(A) == _reference_text(A)
+
+
+def test_write_keeps_signed_zeros_apart():
+    A = csr_from_triplets([(0, 0, -0.0), (0, 1, 0.0), (1, 0, 0.0), (1, 1, -0.0)], 2, 2)
+    assert write_matrix_market(A).split("\n", 2)[2] == (
+        "1 1 -0.0\n1 2 0.0\n2 1 0.0\n2 2 -0.0\n")
+    assert csr_equal(A, _read(write_matrix_market(A)))
+
+
+def test_write_empty_rows_and_empty_matrices():
+    A = csr_from_triplets([(0, 9, 1e-5), (9, 0, 1e16)], 10, 100000)
+    assert write_matrix_market(A) == _reference_text(A)
+    assert write_matrix_market(A).split("\n", 2)[2] == "1 10 1e-05\n10 1 1e+16\n"
+    for shape in [(0, 0), (0, 5), (5, 0), (100000, 3)]:
+        assert write_matrix_market(csr_from_triplets([], *shape)) == (
+            "%%MatrixMarket matrix coordinate real general\n"
+            f"{shape[0]} {shape[1]} 0\n")
+
+
+def test_write_distinct_values_across_chunks():
+    # five-digit rows, six-digit columns and distinct values over several write chunks
+    rng = np.random.default_rng(7)
+    n = 30000
+    i, j = rng.integers(0, n, 20000), rng.integers(0, 123456, 20000)
+    v = rng.standard_normal(20000) * 10.0 ** rng.integers(-300, 300, 20000)
+    A = csr_from_arrays(i, j, v, n, 123456)
+    assert write_matrix_market(A) == _reference_text(A)
 
 
 def test_write_reuses_its_memory_from_chunk_to_chunk():
